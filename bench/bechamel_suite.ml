@@ -4,10 +4,11 @@
    harness (exp_*.ml) prints the actual paper-shaped tables; this suite
    measures the kernels' per-iteration cost.
 
-   The kernels/ group pits the CSR snapshot kernels (Graphcore.Csr) against
-   their hashtable reference implementations on the largest quick-grid
-   registry dataset, so `--json` runs leave a machine-readable perf trail
-   (BENCH_kernels.json) future changes can diff against. *)
+   The kernels/ group times the CSR snapshot kernels (Graphcore.Csr) on
+   the largest quick-grid registry dataset, so `--json` runs leave a
+   machine-readable perf trail (BENCH_kernels.json) future changes can
+   diff against.  The hashtable reference engines live in the test suite
+   as oracles and are not timed. *)
 
 open Bechamel
 open Toolkit
@@ -140,7 +141,7 @@ let kernel_dag =
     | Some (h, kd, comp) ->
       let g = Lazy.force kernel_graph in
       let dec = Truss.Decompose.run g in
-      let onion = Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp () in
+      let onion = Truss.Onion.peel ~h ~k:kd ~candidates:comp () in
       Some (Maxtruss.Block_dag.build ~h ~dec ~k:kd ~component:comp ~onion))
 
 (* Synthetic layered flow network (same generator as exp_scaling's Dinic
@@ -173,20 +174,10 @@ let test_csr_support =
   Test.make ~name:(kname "csr_support")
     (Staged.stage (fun () -> ignore (Truss.Support.all_csr (Lazy.force kernel_csr))))
 
-let test_ref_support =
-  Test.make ~name:(kname "ref_support")
-    (Staged.stage (fun () ->
-         ignore (Truss.Support.all ~impl:`Hashtbl (Lazy.force kernel_graph))))
-
 let test_csr_decompose =
   Test.make ~name:(kname "csr_decompose")
     (Staged.stage (fun () ->
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
-
-let test_ref_decompose =
-  Test.make ~name:(kname "ref_decompose")
-    (Staged.stage (fun () ->
-         ignore (Truss.Decompose.run ~impl:`Hashtbl (Lazy.force kernel_graph))))
+         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
 
 let test_csr_onion =
   Test.make ~name:(kname "csr_onion")
@@ -194,18 +185,8 @@ let test_csr_onion =
          match Lazy.force kernel_onion with
          | None -> ()
          | Some (h, kd, comp) ->
-           (* the CSR peel never mutates h, so no defensive copy *)
-           ignore (Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp ())))
-
-let test_ref_onion =
-  Test.make ~name:(kname "ref_onion")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_onion with
-         | None -> ()
-         | Some (h, kd, comp) ->
-           ignore
-             (Truss.Onion.peel ~impl:`Hashtbl ~h:(Graphcore.Graph.copy h) ~k:kd
-                ~candidates:comp ())))
+           (* the peel never mutates h, so no defensive copy *)
+           ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
 
 (* Parametric g-sweep vs the per-probe rebuild baseline on the fixture DAG.
    Same probes/weights as PCFR's default sweep; the two engines are
@@ -286,7 +267,7 @@ let test_csr_decompose_par2 =
   Test.make ~name:(kname "csr_decompose_par2")
     (Staged.stage (fun () ->
          Par.set_domains 2;
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
+         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
 
 (* 4-worker variants of the round-synchronized peel paths and the
    speculative g-sweep.  On a single-CPU host these bound the parallel
@@ -296,7 +277,7 @@ let test_csr_decompose_par4 =
   Test.make ~name:(kname "csr_decompose_par4")
     (Staged.stage (fun () ->
          Par.set_domains 4;
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
+         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
 
 let test_onion_peel_par4 =
   Test.make ~name:(kname "onion_peel_par4")
@@ -305,7 +286,7 @@ let test_onion_peel_par4 =
          match Lazy.force kernel_onion with
          | None -> ()
          | Some (h, kd, comp) ->
-           ignore (Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp ())))
+           ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
 
 let test_flow_sweep_par4 =
   Test.make ~name:(kname "flow_sweep_par4")
@@ -336,7 +317,7 @@ let per_run raws ~f =
 
 (* [quota_s] bounds the sampling time per kernel.  The 1s default keeps the
    interactive run snappy; baseline recording passes a larger quota so even
-   the slowest kernel (ref_decompose, ~1.3s/run) collects the >= 5 samples
+   the slowest kernel (csr_decompose, ~0.1s/run) collects the >= 5 samples
    the median/MAD statistics need (samples ramp linearly in run count, so
    N samples cost ~N*(N+1)/2 runs). *)
 let benchmark ?(quota_s = 1.0) () =
@@ -352,11 +333,8 @@ let benchmark ?(quota_s = 1.0) () =
       test_fig8;
       test_csr_build;
       test_csr_support;
-      test_ref_support;
       test_csr_decompose;
-      test_ref_decompose;
       test_csr_onion;
-      test_ref_onion;
       test_flow_sweep_warm;
       test_flow_sweep_rebuild;
       test_dinic_csr;

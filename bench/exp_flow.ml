@@ -22,7 +22,7 @@ let build_dags g k =
   List.map
     (fun comp ->
       let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
-      let onion = Truss.Onion.peel ~impl:`Csr ~h ~k ~candidates:comp () in
+      let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
       Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion)
     comps
 

@@ -119,12 +119,12 @@ let bench_domains_ladder () =
   let kernels =
     [
       ("support", fun () -> ignore (Truss.Support.all_csr csr));
-      ("decompose", fun () -> ignore (Truss.Decompose.run ~impl:`Csr g));
+      ("decompose", fun () -> ignore (Truss.Decompose.run g));
       ( "onion",
         fun () ->
           match sweep_fixture with
           | None -> ()
-          | Some (h, comp, _) -> ignore (Truss.Onion.peel ~impl:`Csr ~h ~k ~candidates:comp ()) );
+          | Some (h, comp, _) -> ignore (Truss.Onion.peel ~h ~k ~candidates:comp ()) );
       ( "sweep",
         fun () ->
           match sweep_fixture with

@@ -227,8 +227,8 @@ let () =
      record/check default to a larger Bechamel quota than interactive runs.
      Bechamel ramps the run count linearly (sample i costs i runs), so N
      samples of a t-second kernel need ~ N*(N+1)/2 * t seconds of quota:
-     30s buys the ~1.3s/run ref_decompose kernel 6 samples, while fast
-     kernels stop at the 200-sample limit long before the quota. *)
+     30s buys even a ~1.3s/run kernel 6 samples, while fast kernels stop
+     at the 200-sample limit long before the quota. *)
   let quota_s =
     match !quota with
     | Some q -> q

@@ -7,15 +7,13 @@ type outcome = {
 }
 
 let csup ~h targets =
-  (* [h] is still pristine here (insertions come later), so take one CSR
-     snapshot and answer every target with sorted-merge intersection instead
-     of per-neighbor hash probes. *)
-  let csr = Csr.of_graph h in
+  (* Intersect on [h] directly: a snapshot of [h] costs more than the few
+     hundred intersections it would speed up. *)
   let tbl = Hashtbl.create (max (List.length targets) 1) in
   List.iter
     (fun key ->
       let u, v = Edge_key.endpoints key in
-      Hashtbl.replace tbl key (Csr.count_common_neighbors csr u v))
+      Hashtbl.replace tbl key (Graph.count_common_neighbors h u v))
     targets;
   tbl
 
@@ -121,29 +119,56 @@ let greedy_cover ~g ~h ~sup ~unstable ~threshold ~require_stable =
 
 (* Clique strategy: recruit k-2 extra nodes maximizing existing adjacency to
    the growing set, then add every missing pair — a k-clique is the smallest
-   k-truss, so the target edge is certainly converted. *)
-let clique_plan ~g ~h ~k ~node_pool key =
+   k-truss, so the target edge is certainly converted.  Ties go to the
+   smallest pool id.  Adjacency counts grow incrementally — each recruit
+   bumps its [h]-neighbors — so a round looks only at counted nodes and
+   falls back to the smallest free pool node when none is counted. *)
+let clique_plan ~g ~h ~k ~pool key =
   let u, v = Edge_key.endpoints key in
   let chosen = ref [ u; v ] in
-  let pool = List.filter (fun w -> w <> u && w <> v) node_pool in
-  let adjacency w = List.fold_left (fun acc x -> if Graph.mem_edge h x w then acc + 1 else acc) 0 !chosen in
-  let available = ref pool in
+  let free w = not (List.mem w !chosen) in
+  let in_pool w =
+    let lo = ref 0 and hi = ref (Array.length pool) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if pool.(mid) < w then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length pool && pool.(!lo) = w
+  in
+  let count = Hashtbl.create 64 in
+  let recruit x =
+    Graph.iter_neighbors h x (fun w ->
+        if in_pool w then
+          Hashtbl.replace count w (1 + Option.value ~default:0 (Hashtbl.find_opt count w)))
+  in
+  recruit u;
+  recruit v;
+  let next_free = ref 0 in
   for _ = 1 to k - 2 do
-    match !available with
-    | [] -> ()
-    | _ ->
-      let best =
-        List.fold_left
-          (fun acc w ->
-            let a = adjacency w in
-            match acc with Some (ba, _) when ba >= a -> acc | _ -> Some (a, w))
-          None !available
-      in
-      (match best with
-      | Some (_, w) ->
+    let best =
+      Hashtbl.fold
+        (fun w c acc ->
+          if not (free w) then acc
+          else
+            match acc with
+            | Some (bc, bw) when bc > c || (bc = c && bw < w) -> acc
+            | _ -> Some (c, w))
+        count None
+    in
+    let pick =
+      match best with
+      | Some (_, w) -> Some w
+      | None ->
+        while !next_free < Array.length pool && not (free pool.(!next_free)) do
+          incr next_free
+        done;
+        if !next_free < Array.length pool then Some pool.(!next_free) else None
+    in
+    Option.iter
+      (fun w ->
         chosen := w :: !chosen;
-        available := List.filter (fun x -> x <> w) !available
-      | None -> ())
+        recruit w)
+      pick
   done;
   if List.length !chosen < k then None
   else begin
@@ -163,21 +188,29 @@ let clique_plan ~g ~h ~k ~node_pool key =
   end
 
 (* Cascading greedy: allow unstable candidates; freshly inserted edges
-   become targets themselves.  Bounded, and simulated on scratch state so a
-   blow-up costs nothing. *)
+   become targets themselves.  Bounded, and simulated on [h] itself: every
+   simulated insertion is a new edge of [h] and comes out again before
+   returning, exceptions included, so a blow-up costs nothing. *)
 let greedy_cascade ~g ~h ~k ~target_key =
   let threshold = k - 2 in
-  let scratch = Graph.copy h in
   let sup = Hashtbl.create 16 in
   let unstable = Hashtbl.create 16 in
+  let plan = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun key ->
+          let u, v = Edge_key.endpoints key in
+          ignore (Graph.remove_edge h u v))
+        !plan)
+  @@ fun () ->
   let add_target key =
     let u, v = Edge_key.endpoints key in
-    let s = Graph.count_common_neighbors scratch u v in
+    let s = Graph.count_common_neighbors h u v in
     Hashtbl.replace sup key s;
     if s < threshold then Hashtbl.replace unstable key ()
   in
   add_target target_key;
-  let plan = ref [] in
   let steps = ref 0 in
   let cap = 6 * k in
   let failed = ref false in
@@ -190,18 +223,18 @@ let greedy_cascade ~g ~h ~k ~target_key =
         (fun t () ->
           List.iter
             (fun cand ->
-              let cov = coverage ~h:scratch ~unstable cand in
+              let cov = coverage ~h ~unstable cand in
               if cov > 0 then
                 match !best with
                 | Some (bc, bk) when bc > cov || (bc = cov && Edge_key.compare bk cand <= 0) -> ()
                 | _ -> best := Some (cov, cand))
-            (candidates_for ~g ~h:scratch t))
+            (candidates_for ~g ~h t))
         unstable;
       match !best with
       | None -> failed := true
       | Some (_, cand) ->
         plan := cand :: !plan;
-        apply_insertion ~h:scratch ~sup ~unstable ~threshold cand;
+        apply_insertion ~h ~sup ~unstable ~threshold cand;
         (* The inserted edge must itself survive into the truss. *)
         add_target cand
     end
@@ -242,7 +275,7 @@ let convert ~ctx ~target ?node_pool () =
       end;
       Hashtbl.fold (fun v () acc -> v :: acc) seen []
   in
-  let node_pool = List.sort_uniq Int.compare node_pool in
+  let pool = Array.of_list (List.sort_uniq Int.compare node_pool) in
   let sup = csup ~h target in
   let unstable = Hashtbl.create 16 in
   Hashtbl.iter (fun key s -> if s < threshold then Hashtbl.replace unstable key ()) sup;
@@ -255,7 +288,7 @@ let convert ~ctx ~target ?node_pool () =
     (fun key ->
       if Hashtbl.mem unstable key then begin
         let cascade = greedy_cascade ~g ~h ~k ~target_key:key in
-        let clique = clique_plan ~g ~h ~k ~node_pool key in
+        let clique = clique_plan ~g ~h ~k ~pool key in
         let chosen =
           match (cascade, clique) with
           | Some a, Some b -> if List.length a <= List.length b then (a, `Greedy) else (b, `Clique)

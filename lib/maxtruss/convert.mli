@@ -36,3 +36,11 @@ val convert :
 val csup : h:Graph.t -> Edge_key.t list -> (Edge_key.t, int) Hashtbl.t
 (** Component-based support of the target edges inside a prepared [H]
     subgraph — exposed for tests and the DAG-size experiment. *)
+
+val clique_plan :
+  g:Graph.t -> h:Graph.t -> k:int -> pool:int array -> Edge_key.t -> Edge_key.t list option
+(** The Clique strategy for one straggler [(u, v)]: recruit [k - 2] nodes
+    from [pool] (sorted ascending, duplicate-free), each time the one with
+    the most [h]-neighbors among [u], [v] and the earlier recruits, ties to
+    the smallest id; return the missing pairs of the resulting k-clique
+    (sorted), or [None] when the pool runs out.  Exposed for tests. *)

@@ -62,10 +62,9 @@ type result = { outcome : Outcome.t; levels : level_stat list }
 let flow_selections ~ctx ~dec ~config ~component =
   let g = ctx.Score.g and k = ctx.Score.k in
   let h_graph = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:component in
-  (* The CSR peel works on an immutable snapshot, so [h_graph] survives for
-     the DAG build below without the defensive copy the hashtable path
-     needed. *)
-  let onion = Truss.Onion.peel ~impl:`Csr ~h:h_graph ~k ~candidates:component () in
+  (* The peel works on an immutable snapshot, so [h_graph] survives for the
+     DAG build below. *)
+  let onion = Truss.Onion.peel ~h:h_graph ~k ~candidates:component () in
   let dag = Block_dag.build ~h:h_graph ~dec ~k ~component ~onion in
   (* Different (w1, w2) settings frequently rediscover the same anchored
      block set; convert each distinct target only once. *)
@@ -157,7 +156,10 @@ let run config g =
     | Some limit -> Unix.gettimeofday () -. start > limit
     | None -> false
   in
-  let gw = Graph.copy g in
+  let gw = Obs.Span.with_ "graph.copy" (fun () -> Graph.copy g) in
+  (* The decomposition of [g] itself — the first level's, taken before any
+     insertion — doubles as the verification oracle's baseline. *)
+  let g_dec = ref None in
   let levels = ref [] in
   let total_inserted = ref [] in
   let remaining = ref config.budget in
@@ -178,6 +180,7 @@ let run config g =
     else
       Obs.Span.with_ ~args:[ ("h", string_of_int !h) ] "pcfr.level" @@ fun () ->
       let dec = Truss.Decompose.run gw in
+      if !total_inserted = [] then g_dec := Some dec;
       let comps = Truss.Connectivity.components ~g:gw ~dec ~lo:(k - !h) ~hi:k in
       Log.debug (fun m ->
           m "level h=%d: %d components over classes [%d, %d), budget left %d" !h
@@ -191,7 +194,7 @@ let run config g =
         if !h >= config.max_h then continue := false else incr h
       end
       else begin
-        let ctx = Score.make_ctx gw ~k in
+        let ctx = Score.ctx_of_dec gw dec ~k in
         (* PCFR proper only randomizes on the (k-1)-class; PCR (flow
            disabled) randomizes at every depth. *)
         let level_config =
@@ -297,7 +300,7 @@ let run config g =
   done;
   let inserted = List.rev !total_inserted in
   let time_s = Unix.gettimeofday () -. start in
-  let score = Score.evaluate_oracle g ~k ~inserted in
+  let score = Score.evaluate_oracle ?dec:!g_dec g ~k ~inserted in
   {
     outcome = { Outcome.inserted; score; time_s; timed_out = !timed_out };
     levels = List.rev !levels;

@@ -2,7 +2,11 @@ open Graphcore
 
 type ctx = { g : Graph.t; k : int; old_truss : (Edge_key.t, unit) Hashtbl.t }
 
-let make_ctx g ~k = { g; k; old_truss = Truss.Truss_query.k_truss_edges g ~k }
+let ctx_of_dec g dec ~k =
+  Obs.Span.with_ "score.ctx" @@ fun () ->
+  { g; k; old_truss = Truss.Decompose.truss_edge_table dec k }
+
+let make_ctx g ~k = ctx_of_dec g (Truss.Decompose.run g) ~k
 
 let c_evaluations = Obs.Counter.make "score.evaluations"
 
@@ -12,6 +16,7 @@ let evaluate ctx inserted =
   Truss.Maintain.k_truss_after_insert ~g:ctx.g ~old_truss:ctx.old_truss ~k:ctx.k ~inserted
 
 let local_ctx ctx ~component =
+  Obs.Span.with_ "score.local_ctx" @@ fun () ->
   (* The scoring subgraph is wider than the conversion subgraph T_k ∪ E_c:
      promotions can also ride on low-trussness edges around the component
      (e.g. a class-2 edge completing a clique with inserted edges), so
@@ -36,13 +41,18 @@ let local_ctx ctx ~component =
 
 let score ctx inserted = List.length (evaluate ctx inserted).Truss.Maintain.promoted
 
-let evaluate_oracle g ~k ~inserted =
+let evaluate_oracle ?dec g ~k ~inserted =
   Obs.Span.with_ "score.evaluate_oracle" @@ fun () ->
+  let dec = match dec with Some dec -> dec | None -> Truss.Decompose.run g in
   let g' = Graph.copy g in
   List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g' u v)) inserted;
-  let before = Truss.Truss_query.k_truss_edges g ~k in
-  let after = Truss.Truss_query.k_truss_edges g' ~k in
-  Hashtbl.fold (fun key () acc -> if Hashtbl.mem before key then acc else acc + 1) after 0
+  let in_before key =
+    match Truss.Decompose.trussness_opt dec key with Some tau -> tau >= k | None -> false
+  in
+  let gain = ref 0 in
+  Truss.Decompose.iter (Truss.Decompose.run g') (fun key tau ->
+      if tau >= k && not (in_before key) then incr gain);
+  !gain
 
 let pairs_of_keys keys = List.map Edge_key.endpoints keys
 

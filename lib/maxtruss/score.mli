@@ -15,9 +15,13 @@ type ctx = {
   old_truss : (Edge_key.t, unit) Hashtbl.t;  (** k-truss edge set of [g] *)
 }
 
-val make_ctx : Graph.t -> k:int -> ctx
-(** Computes the baseline k-truss.  The context stays valid until [g] is
+val ctx_of_dec : Graph.t -> Truss.Decompose.t -> k:int -> ctx
+(** Context whose baseline k-truss is read off [dec], which must be the
+    decomposition of [g] itself.  The context stays valid until [g] is
     permanently mutated; rebuild it after committing insertions. *)
+
+val make_ctx : Graph.t -> k:int -> ctx
+(** [ctx_of_dec g (Truss.Decompose.run g) ~k]. *)
 
 val evaluate : ctx -> (int * int) list -> Truss.Maintain.delta
 (** Incremental evaluation of a candidate insertion (graph restored before
@@ -34,9 +38,13 @@ val local_ctx : ctx -> component:Edge_key.t list -> ctx
 val score : ctx -> (int * int) list -> int
 (** [List.length (evaluate ctx p).promoted]. *)
 
-val evaluate_oracle : Graph.t -> k:int -> inserted:(int * int) list -> int
-(** Independent full recomputation on a copy — the test oracle for
-    {!evaluate}. *)
+val evaluate_oracle :
+  ?dec:Truss.Decompose.t -> Graph.t -> k:int -> inserted:(int * int) list -> int
+(** Independent full recomputation — the test oracle for {!evaluate}: a
+    fresh {!Truss.Decompose.run} of a copy of [g] with the insertions,
+    counted against the k-truss of [g].  That baseline is read off [dec]
+    when given (it must be the decomposition of [g] itself, as PCFR's
+    first level computes it) and decomposed from [g] otherwise. *)
 
 val pairs_of_keys : Edge_key.t list -> (int * int) list
 val keys_of_pairs : (int * int) list -> Edge_key.t list

@@ -17,7 +17,7 @@ let create ?(generation = 0) g =
   Obs.Span.with_ "service.epoch_build" (fun () ->
       let graph = Graph.copy g in
       let csr = Csr.of_graph graph in
-      let dec = Truss.Decompose.run graph in
+      let dec = Truss.Decompose.of_csr csr in
       let index = Truss.Index.build dec in
       make ~graph ~csr ~dec ~index ~generation)
 

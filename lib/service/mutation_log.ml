@@ -103,7 +103,7 @@ let apply ?(config = default_config) store ops =
                   let e =
                     Obs.Span.with_ "service.full_rebuild" (fun () ->
                         let csr = Csr.of_graph graph in
-                        let dec = Truss.Decompose.run graph in
+                        let dec = Truss.Decompose.of_csr csr in
                         let index = Truss.Index.build dec in
                         Epoch.make ~graph ~csr ~dec ~index ~generation)
                   in

@@ -7,7 +7,7 @@
     Small batches then go through the incremental maintenance path
     (trussness deltas patched into the decomposition and index, no
     re-peeling); batches touching more than [fallback_fraction] of the
-    snapshot's edges fall back to a full {!Truss.Decompose.run} rebuild,
+    snapshot's edges fall back to a full {!Truss.Decompose.of_csr} rebuild,
     counted by [service.maintain_fallbacks].  Either way a fresh epoch is
     published with [generation + 1]; readers of the old epoch are
     untouched. *)

@@ -1,6 +1,7 @@
 open Graphcore
 
 let components ~g ~dec ~lo ~hi =
+  Obs.Span.with_ "connectivity.components" @@ fun () ->
   let members = ref [] in
   Decompose.iter dec (fun key tau -> if tau >= lo && tau < hi then members := key :: !members);
   let members = Array.of_list !members in

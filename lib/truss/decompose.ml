@@ -4,49 +4,12 @@ type t = { tau : (Edge_key.t, int) Hashtbl.t; mutable kmax : int }
 
 let c_edges_peeled = Obs.Counter.make "decompose.edges_peeled"
 
-(* Reference path: hashtable adjacency, Edge_key-keyed bucket queue. *)
-let run_hashtbl g =
-  let work = Graph.copy g in
-  let m = Graph.num_edges work in
-  let tau = Hashtbl.create (max m 1) in
-  let max_sup = ref 0 in
-  let sup = Support.all ~impl:`Hashtbl work in
-  Hashtbl.iter (fun _ s -> if s > !max_sup then max_sup := s) sup;
-  let queue = Bucket_queue.create ~max_priority:(max !max_sup 1) in
-  Hashtbl.iter (fun key s -> Bucket_queue.add queue key s) sup;
-  let k = ref 2 in
-  let kmax = ref (if m = 0 then 0 else 2) in
-  let rec drain () =
-    match Bucket_queue.pop_min queue with
-    | None -> ()
-    | Some (key, s) ->
-      if s + 2 > !k then k := s + 2;
-      Hashtbl.replace tau key !k;
-      if !k > !kmax then kmax := !k;
-      let u, v = Edge_key.endpoints key in
-      (* Each surviving triangle through (u,v) loses one support on both of
-         its other edges. *)
-      Graph.iter_common_neighbors work u v (fun w ->
-          let e1 = Edge_key.make u w and e2 = Edge_key.make v w in
-          (match Bucket_queue.priority queue e1 with
-          | Some p -> Bucket_queue.update queue e1 (max (p - 1) (!k - 2))
-          | None -> ());
-          match Bucket_queue.priority queue e2 with
-          | Some p -> Bucket_queue.update queue e2 (max (p - 1) (!k - 2))
-          | None -> ());
-      ignore (Graph.remove_edge work u v);
-      drain ()
-  in
-  drain ();
-  { tau; kmax = !kmax }
-
-(* CSR path: every piece of peeling state is a flat int array indexed by
-   edge id — supports, liveness, trussness — and the bucket queue is an
-   intrusive doubly-linked list threaded through [next]/[prev], so the
-   whole peel allocates nothing beyond the initial arrays.  Deleted edges
-   are tracked with [alive] flags; the snapshot itself never changes. *)
-let run_csr g =
-  let csr = Csr.of_graph g in
+(* Sequential peel: every piece of peeling state is a flat int array
+   indexed by edge id — supports, liveness, trussness — and the bucket
+   queue is an intrusive doubly-linked list threaded through [next]/[prev],
+   so the whole peel allocates nothing beyond the initial arrays.  Deleted
+   edges are tracked with [alive] flags; the snapshot never changes. *)
+let run_csr csr =
   let m = Csr.num_edges csr in
   let tau = Hashtbl.create (max m 1) in
   if m = 0 then { tau; kmax = 0 }
@@ -161,8 +124,7 @@ let peel_grain = 1024
      decrements, so per-level supports agree after every cascade.
 
    Only wall-clock and the par.* counters differ from [run_csr]. *)
-let run_csr_rounds g =
-  let csr = Csr.of_graph g in
+let run_csr_rounds csr =
   let m = Csr.num_edges csr in
   let tau = Hashtbl.create (max m 1) in
   if m = 0 then { tau; kmax = 0 }
@@ -281,15 +243,13 @@ let run_csr_rounds g =
     { tau; kmax = !kmax }
   end
 
-let run ?(impl = `Csr) g =
+let of_csr csr =
   Obs.Span.with_ "truss.decompose" (fun () ->
-      let t =
-        match impl with
-        | `Csr -> if Par.available () then run_csr_rounds g else run_csr g
-        | `Hashtbl -> run_hashtbl g
-      in
+      let t = if Par.available () then run_csr_rounds csr else run_csr csr in
       Obs.Counter.add c_edges_peeled (Hashtbl.length t.tau);
       t)
+
+let run g = of_csr (Csr.of_graph g)
 
 let patched t ~changes =
   let tau = Hashtbl.copy t.tau in

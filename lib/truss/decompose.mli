@@ -10,14 +10,14 @@ open Graphcore
 
 type t
 
-val run : ?impl:[ `Csr | `Hashtbl ] -> Graph.t -> t
-(** Decompose the graph; [g] is never modified.
+val of_csr : Csr.t -> t
+(** Decompose a frozen snapshot: peels on flat edge-id arrays with an
+    intrusive doubly-linked bucket list — no hashing anywhere in the hot
+    loop.  Callers that already hold the graph's {!Csr} (the service's
+    epochs) pass it here instead of paying for a second snapshot. *)
 
-    The default [`Csr] implementation freezes [g] into a {!Csr} snapshot and
-    peels on flat edge-id arrays with an intrusive doubly-linked bucket
-    list — no hashing anywhere in the hot loop.  [`Hashtbl] is the original
-    reference path (peeling a mutable copy with an [Edge_key]-keyed bucket
-    queue).  Both produce identical trussness maps. *)
+val run : Graph.t -> t
+(** [of_csr (Csr.of_graph g)]; [g] is never modified. *)
 
 val patched : t -> changes:(Edge_key.t * int option) list -> t
 (** Copy with trussness overrides applied: [(key, Some tau)] sets the

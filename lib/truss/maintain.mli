@@ -7,8 +7,8 @@
     support in the updated graph reaches [k - 2], then (2) peeling that
     region with the old truss as an unpeelable backdrop.  This is the
     verification primitive the maximization algorithms call in their inner
-    loops; a full {!Truss_query} pass over the updated graph gives the same
-    answer and is used as the test oracle. *)
+    loops; a fixed-k peel of the whole updated graph gives the same answer
+    and is the test oracle. *)
 
 open Graphcore
 

@@ -10,65 +10,6 @@ let c_rounds = Obs.Counter.make "onion.peel_rounds"
 
 let c_candidates = Obs.Counter.make "onion.candidates"
 
-(* Reference path: hashtable supports, edges physically removed from h. *)
-let peel_hashtbl ~h ~k ~candidates =
-  let threshold = k - 2 in
-  let n = List.length candidates in
-  let layer = Hashtbl.create (max n 1) in
-  let sup = Hashtbl.create (max n 1) in
-  List.iter
-    (fun key ->
-      let u, v = Edge_key.endpoints key in
-      if not (Graph.mem_edge h u v) then invalid_arg "Onion.peel: candidate not in h";
-      Hashtbl.replace sup key (Graph.count_common_neighbors h u v))
-    candidates;
-  let remaining = ref (Hashtbl.length sup) in
-  let frontier = ref [] in
-  Hashtbl.iter (fun key s -> if s < threshold then frontier := key :: !frontier) sup;
-  let round = ref 0 in
-  let max_layer = ref 0 in
-  while !remaining > 0 && !frontier <> [] do
-    incr round;
-    let this_round = !frontier in
-    frontier := [];
-    List.iter
-      (fun key ->
-        if not (Hashtbl.mem layer key) then begin
-          Hashtbl.replace layer key !round;
-          if !round > !max_layer then max_layer := !round;
-          decr remaining
-        end)
-      this_round;
-    (* Remove the round's edges one by one; a triangle shared by two removed
-       edges is broken by the first removal, so each lost triangle
-       decrements each surviving candidate exactly once. *)
-    List.iter
-      (fun key ->
-        let u, v = Edge_key.endpoints key in
-        Graph.iter_common_neighbors h u v (fun w ->
-            let decr_candidate e =
-              if not (Hashtbl.mem layer e) then
-                match Hashtbl.find_opt sup e with
-                | Some s ->
-                  Hashtbl.replace sup e (s - 1);
-                  if s - 1 = threshold - 1 then frontier := e :: !frontier
-                | None -> ()
-            in
-            decr_candidate (Edge_key.make u w);
-            decr_candidate (Edge_key.make v w));
-        ignore (Graph.remove_edge h u v))
-      this_round
-  done;
-  (* Total-function guard: candidates the peel could not remove (impossible
-     with a consistent trussness input) land in the deepest layer. *)
-  if !remaining > 0 then begin
-    max_layer := !max_layer + 1;
-    Hashtbl.iter
-      (fun key _ -> if not (Hashtbl.mem layer key) then Hashtbl.replace layer key !max_layer)
-      sup
-  end;
-  { layer; max_layer = (if !max_layer = 0 then 0 else !max_layer); rounds = !round }
-
 (* Growable int buffer for the parallel rounds' per-chunk target lists
    (same shape as Decompose's). *)
 type vec = { mutable buf : int array; mutable len : int }
@@ -88,7 +29,7 @@ let vec_push v x =
    they fork on smaller ranges than the init scan's default grain. *)
 let peel_grain = 1024
 
-(* CSR path: one immutable snapshot of h; supports, liveness, layers and the
+(* One immutable snapshot of h; supports, liveness, layers and the
    candidate set are flat arrays over edge ids, and removals are [alive]
    flag flips.  [h] itself is left untouched. *)
 let peel_csr ~h ~k ~candidates =
@@ -227,13 +168,9 @@ let peel_csr ~h ~k ~candidates =
   done;
   { layer; max_layer = (if !max_layer = 0 then 0 else !max_layer); rounds = !round }
 
-let peel ?(impl = `Csr) ~h ~k ~candidates () =
+let peel ~h ~k ~candidates () =
   Obs.Span.with_ "onion.peel" (fun () ->
-      let r =
-        match impl with
-        | `Csr -> peel_csr ~h ~k ~candidates
-        | `Hashtbl -> peel_hashtbl ~h ~k ~candidates
-      in
+      let r = peel_csr ~h ~k ~candidates in
       Obs.Counter.add c_rounds r.rounds;
       Obs.Counter.add c_candidates (List.length candidates);
       r)

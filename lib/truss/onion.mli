@@ -20,20 +20,11 @@ type result = {
   rounds : int;  (** number of peeling rounds executed *)
 }
 
-val peel :
-  ?impl:[ `Csr | `Hashtbl ] ->
-  h:Graph.t ->
-  k:int ->
-  candidates:Edge_key.t list ->
-  unit ->
-  result
+val peel : h:Graph.t -> k:int -> candidates:Edge_key.t list -> unit -> result
 (** [peel ~h ~k ~candidates ()] peels [candidates] inside the subgraph [h]
     (which must contain every candidate; all other [h] edges form the
-    backdrop).
-
-    The default [`Csr] implementation snapshots [h] once and peels on flat
-    arrays, leaving [h] untouched.  The [`Hashtbl] reference path consumes
-    [h]: it removes edges from it.  Both produce identical layers.
+    backdrop).  It snapshots [h] once into a {!Csr} and peels on flat
+    arrays, leaving [h] untouched.
 
     Candidates that never fall below the support threshold would belong to
     the k-truss — impossible when trussness was computed correctly — but the

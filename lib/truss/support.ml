@@ -57,22 +57,14 @@ let all_csr csr =
   end;
   sup
 
-let all_hashtbl g =
-  let tbl = Hashtbl.create (Graph.num_edges g) in
-  Graph.iter_edges g (fun u v -> Hashtbl.replace tbl (Edge_key.make u v) (of_edge g u v));
+let all g =
+  let csr = Csr.of_graph g in
+  let sup = all_csr csr in
+  let m = Csr.num_edges csr in
+  let tbl = Hashtbl.create (max m 1) in
+  for e = 0 to m - 1 do
+    Hashtbl.replace tbl (Csr.edge_key csr e) sup.(e)
+  done;
   tbl
-
-let all ?(impl = `Csr) g =
-  match impl with
-  | `Hashtbl -> all_hashtbl g
-  | `Csr ->
-    let csr = Csr.of_graph g in
-    let sup = all_csr csr in
-    let m = Csr.num_edges csr in
-    let tbl = Hashtbl.create (max m 1) in
-    for e = 0 to m - 1 do
-      Hashtbl.replace tbl (Csr.edge_key csr e) sup.(e)
-    done;
-    tbl
 
 let sum g = 3 * Csr.triangle_count (Csr.of_graph g)

@@ -8,11 +8,9 @@ open Graphcore
 val of_edge : Graph.t -> int -> int -> int
 (** Support of one (possibly absent) edge in the graph. *)
 
-val all : ?impl:[ `Csr | `Hashtbl ] -> Graph.t -> (Edge_key.t, int) Hashtbl.t
-(** Supports of every edge of the graph.  The default [`Csr] implementation
-    snapshots the graph into {!Csr} form and enumerates each triangle once
-    via the degree orientation; [`Hashtbl] is the per-edge hash-probe
-    reference path. *)
+val all : Graph.t -> (Edge_key.t, int) Hashtbl.t
+(** Supports of every edge of the graph: snapshots the graph into {!Csr}
+    form and enumerates each triangle once via the degree orientation. *)
 
 val all_csr : Csr.t -> int array
 (** Supports indexed by {!Csr} edge id — the flat-array form the CSR

@@ -1,33 +1,6 @@
 open Graphcore
 
-let k_truss_edges g ~k =
-  let work = Graph.copy g in
-  let threshold = k - 2 in
-  let sup = Support.all work in
-  let queue = Queue.create () in
-  Hashtbl.iter (fun key s -> if s < threshold then Queue.push key queue) sup;
-  let removed = Hashtbl.create 64 in
-  while not (Queue.is_empty queue) do
-    let key = Queue.pop queue in
-    if (not (Hashtbl.mem removed key)) && Hashtbl.mem sup key then begin
-      Hashtbl.replace removed key ();
-      let u, v = Edge_key.endpoints key in
-      Graph.iter_common_neighbors work u v (fun w ->
-          let decr e =
-            match Hashtbl.find_opt sup e with
-            | Some s when not (Hashtbl.mem removed e) ->
-              Hashtbl.replace sup e (s - 1);
-              if s - 1 < threshold then Queue.push e queue
-            | _ -> ()
-          in
-          decr (Edge_key.make u w);
-          decr (Edge_key.make v w));
-      ignore (Graph.remove_edge work u v)
-    end
-  done;
-  let result = Hashtbl.create 256 in
-  Graph.iter_edges work (fun u v -> Hashtbl.replace result (Edge_key.make u v) ());
-  result
+let k_truss_edges g ~k = Decompose.truss_edge_table (Decompose.run g) k
 
 let k_truss g ~k =
   let edges = k_truss_edges g ~k in

@@ -1,9 +1,7 @@
-(** Direct k-truss extraction for a fixed [k].
-
-    Cheaper than a full decomposition when only one truss level matters —
-    the peeling threshold is fixed at [k - 2], so a single cascade suffices.
-    This is the verification primitive behind every score the maximization
-    algorithms report. *)
+(** k-truss extraction for a fixed [k], read off a {!Decompose.run}: the
+    k-truss is exactly the edges of trussness at least [k], and the CSR
+    peel computes every level faster than a hashtable cascade computes
+    one. *)
 
 open Graphcore
 

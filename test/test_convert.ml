@@ -99,6 +99,65 @@ let prop_plan_edges_absent =
           List.for_all (fun (u, v) -> not (Graph.mem_edge g u v)) conv.Convert.plan)
         comps)
 
+(* The clique recruit as a pool rescan: every round recounts each free
+   pool node's adjacency to the chosen set and keeps the first maximum of
+   the ascending pool.  Reference for Convert.clique_plan's incremental
+   counts. *)
+let pool_scan_clique_plan ~g ~h ~k ~node_pool key =
+  let u, v = Edge_key.endpoints key in
+  let chosen = ref [ u; v ] in
+  let adjacency w =
+    List.fold_left (fun acc x -> if Graph.mem_edge h x w then acc + 1 else acc) 0 !chosen
+  in
+  let available = ref (List.filter (fun w -> w <> u && w <> v) node_pool) in
+  for _ = 1 to k - 2 do
+    let best =
+      List.fold_left
+        (fun acc w ->
+          let a = adjacency w in
+          match acc with Some (ba, _) when ba >= a -> acc | _ -> Some (a, w))
+        None !available
+    in
+    match best with
+    | Some (_, w) ->
+      chosen := w :: !chosen;
+      available := List.filter (fun x -> x <> w) !available
+    | None -> ()
+  done;
+  if List.length !chosen < k then None
+  else begin
+    let missing = ref [] in
+    let rec pairs = function
+      | [] -> ()
+      | x :: rest ->
+        List.iter
+          (fun y ->
+            if (not (Graph.mem_edge h x y)) && not (Graph.mem_edge g x y) then
+              missing := Edge_key.make x y :: !missing)
+          rest;
+        pairs rest
+    in
+    pairs !chosen;
+    Some (List.sort_uniq Edge_key.compare !missing)
+  end
+
+let prop_clique_plan_matches_pool_scan =
+  QCheck2.Test.make ~name:"clique recruit matches the pool scan" ~count:300
+    QCheck2.Gen.(
+      let* g_edges = Helpers.random_graph_gen () in
+      let* h_edges = Helpers.random_graph_gen () in
+      let* k = int_range 3 7 in
+      let* pool = list_size (int_range 0 14) (int_range 0 14) in
+      let* u = int_range 0 12 in
+      let* v = int_range (u + 1) 13 in
+      return (g_edges, h_edges, k, pool, (u, v)))
+    (fun (g_edges, h_edges, k, pool, (u, v)) ->
+      let g = Graph.of_edges g_edges and h = Graph.of_edges h_edges in
+      let node_pool = List.sort_uniq Int.compare pool in
+      let key = Edge_key.make u v in
+      Convert.clique_plan ~g ~h ~k ~pool:(Array.of_list node_pool) key
+      = pool_scan_clique_plan ~g ~h ~k ~node_pool key)
+
 let suite =
   [
     Alcotest.test_case "fig1 full component" `Quick test_fig1_full_component;
@@ -109,4 +168,5 @@ let suite =
     Alcotest.test_case "clique fallback" `Quick test_clique_fallback_for_isolated;
     Helpers.qtest prop_conversion_always_verifies;
     Helpers.qtest prop_plan_edges_absent;
+    Helpers.qtest prop_clique_plan_matches_pool_scan;
   ]

@@ -1,8 +1,8 @@
-(* CSR snapshot kernels vs. the hashtable reference implementations.
+(* CSR snapshot kernels vs. the hashtable reference engines of Ref_truss.
 
    The contract is exact agreement: per-edge support, full trussness map +
-   kmax, and onion layer assignment must be identical between the `Csr and
-   `Hashtbl paths on every seed of every random family. *)
+   kmax, and onion layer assignment must be identical between the library's
+   CSR kernels and the oracles on every seed of every random family. *)
 
 open Graphcore
 
@@ -116,7 +116,7 @@ let test_gallop_skewed () =
 let test_triangle_count_matches_support_sum () =
   iter_cases (fun fam seed g ->
       let csr = Csr.of_graph g in
-      let sup = Truss.Support.all ~impl:`Hashtbl g in
+      let sup = Ref_truss.support g in
       let sum3 = Hashtbl.fold (fun _ s acc -> acc + s) sup 0 in
       Alcotest.(check int)
         (Printf.sprintf "%s/%d triangle count" fam seed)
@@ -126,8 +126,8 @@ let test_triangle_count_matches_support_sum () =
 
 let test_support_agreement () =
   iter_cases (fun fam seed g ->
-      let reference = Truss.Support.all ~impl:`Hashtbl g in
-      let csr_tbl = Truss.Support.all ~impl:`Csr g in
+      let reference = Ref_truss.support g in
+      let csr_tbl = Truss.Support.all g in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "%s/%d support table" fam seed)
         (sorted_bindings reference) (sorted_bindings csr_tbl);
@@ -142,19 +142,16 @@ let test_support_agreement () =
 
 let test_decompose_agreement () =
   iter_cases (fun fam seed g ->
-      let reference = Truss.Decompose.run ~impl:`Hashtbl g in
-      let csr = Truss.Decompose.run ~impl:`Csr g in
+      let reference, reference_kmax = Ref_truss.decompose g in
+      let csr = Truss.Decompose.run g in
       Alcotest.(check int)
         (Printf.sprintf "%s/%d kmax" fam seed)
-        (Truss.Decompose.kmax reference) (Truss.Decompose.kmax csr);
-      let bindings dec =
-        let acc = ref [] in
-        Truss.Decompose.iter dec (fun key tau -> acc := (key, tau) :: !acc);
-        List.sort compare !acc
-      in
+        reference_kmax (Truss.Decompose.kmax csr);
+      let bindings = ref [] in
+      Truss.Decompose.iter csr (fun key tau -> bindings := (key, tau) :: !bindings);
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "%s/%d trussness map" fam seed)
-        (bindings reference) (bindings csr))
+        (sorted_bindings reference) (List.sort compare !bindings))
 
 let test_onion_agreement () =
   iter_cases (fun fam seed g ->
@@ -165,10 +162,8 @@ let test_onion_agreement () =
       if !cands <> [] then begin
         let backdrop = Truss.Decompose.truss_edge_table dec k in
         let build () = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
-        let reference =
-          Truss.Onion.peel ~impl:`Hashtbl ~h:(build ()) ~k ~candidates:!cands ()
-        in
-        let csr = Truss.Onion.peel ~impl:`Csr ~h:(build ()) ~k ~candidates:!cands () in
+        let reference = Ref_truss.onion_peel ~h:(build ()) ~k ~candidates:!cands in
+        let csr = Truss.Onion.peel ~h:(build ()) ~k ~candidates:!cands () in
         Alcotest.(check int)
           (Printf.sprintf "%s/%d max_layer" fam seed)
           reference.Truss.Onion.max_layer csr.Truss.Onion.max_layer;
@@ -190,7 +185,7 @@ let test_csr_peel_preserves_h () =
   let backdrop = Truss.Decompose.truss_edge_table dec k in
   let h = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
   let before = Graph.num_edges h in
-  ignore (Truss.Onion.peel ~impl:`Csr ~h ~k ~candidates:!cands ());
+  ignore (Truss.Onion.peel ~h ~k ~candidates:!cands ());
   Alcotest.(check int) "CSR peel leaves h untouched" before (Graph.num_edges h)
 
 let suite =

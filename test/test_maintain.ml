@@ -66,7 +66,7 @@ let prop_matches_oracle =
           (* Oracle: recompute on the union graph. *)
           let g' = Graph.copy g in
           List.iter (fun (u, v) -> ignore (Graph.add_edge g' u v)) inserted;
-          let full = Truss.Truss_query.k_truss_edges g' ~k in
+          let full = Ref_truss.k_truss_edges g' ~k in
           let expected_promoted =
             Hashtbl.fold
               (fun key () acc -> if Hashtbl.mem old_truss key then acc else key :: acc)
@@ -137,7 +137,7 @@ let prop_delete_matches_oracle =
           let delta = Truss.Maintain.k_truss_after_delete ~g ~old_truss ~k ~deleted in
           let g' = Graph.copy g in
           List.iter (fun (u, v) -> ignore (Graph.remove_edge g' u v)) deleted;
-          let full = Truss.Truss_query.k_truss_edges g' ~k in
+          let full = Ref_truss.k_truss_edges g' ~k in
           let expected_demoted =
             Hashtbl.fold
               (fun key () acc -> if Hashtbl.mem full key then acc else key :: acc)
@@ -211,16 +211,18 @@ let prop_batch_matches_full_recompute =
           ~tau:(Truss.Decompose.trussness_opt dec)
           ~kmax:(Truss.Decompose.kmax dec) ~inserted ~deleted
       in
-      (* apply changes to a copy of the base tau table; oracle = full run *)
+      (* apply changes to a copy of the base tau table; oracle = the
+         hashtable peel of the updated graph *)
       let patched = Truss.Decompose.patched dec ~changes:result.Truss.Maintain.changes in
       let g' = Graph.copy g in
       List.iter (fun (u, v) -> ignore (Graph.remove_edge g' u v)) deleted;
       List.iter (fun (u, v) -> ignore (Graph.add_edge g' u v)) inserted;
-      let oracle = Truss.Decompose.run g' in
-      let ok = ref (Truss.Decompose.kmax patched = Truss.Decompose.kmax oracle) in
-      if Truss.Decompose.num_edges patched <> Truss.Decompose.num_edges oracle then ok := false;
-      Truss.Decompose.iter oracle (fun key tau ->
-          if Truss.Decompose.trussness_opt patched key <> Some tau then ok := false);
+      let oracle, oracle_kmax = Ref_truss.decompose g' in
+      let ok = ref (Truss.Decompose.kmax patched = oracle_kmax) in
+      if Truss.Decompose.num_edges patched <> Hashtbl.length oracle then ok := false;
+      Hashtbl.iter
+        (fun key tau -> if Truss.Decompose.trussness_opt patched key <> Some tau then ok := false)
+        oracle;
       (* pure: base graph, snapshot and decomposition are untouched *)
       if Truss.Decompose.num_edges dec <> Graph.num_edges g then ok := false;
       !ok)

@@ -304,6 +304,26 @@ let test_metrics_contract () =
       "csr.of_graph";
     ]
 
+(* Every PCFR phase has its own span, so none shows up as pcfr.level's or
+   pcfr.run's unattributed self time: one ctx build and one component pass
+   per level, one local scoring context per component (fig1 has two
+   3-class components), one copy and one oracle per run. *)
+let test_pcfr_phase_spans () =
+  with_obs @@ fun () ->
+  let g = Helpers.fig1 () in
+  ignore (Pcfr.pcfr ~g ~k:4 ~budget:2 ());
+  let stats = Obs.span_stats () in
+  List.iter
+    (fun (path, count) ->
+      Alcotest.(check int) path count (find_stat stats path).Obs.count)
+    [
+      ("pcfr.run(k=4,budget=2)/graph.copy", 1);
+      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/connectivity.components", 1);
+      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/score.ctx", 1);
+      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/pcfr.component/score.local_ctx", 2);
+      ("pcfr.run(k=4,budget=2)/score.evaluate_oracle", 1);
+    ]
+
 let boom_line = __LINE__ + 3
 
 let[@inline never] boom () =
@@ -994,6 +1014,7 @@ let suite =
     Alcotest.test_case "disabled mode has no footprint" `Quick test_disabled_no_footprint;
     Alcotest.test_case "exported JSON parses" `Quick test_exported_json_parses;
     Alcotest.test_case "metrics contract fields" `Quick test_metrics_contract;
+    Alcotest.test_case "PCFR phases have spans" `Quick test_pcfr_phase_spans;
     Alcotest.test_case "with_ preserves backtraces" `Quick test_with_preserves_backtrace;
     Alcotest.test_case "?args JSON escaping (both exporters)" `Quick
       test_args_json_escaping;

@@ -85,6 +85,45 @@ let test_time_limit () =
   let r = Pcfr.run cfg g in
   Alcotest.(check bool) "times out immediately" true r.Pcfr.outcome.Outcome.timed_out
 
+(* Golden plans of Pcfr.pcfr on gowalla-sample (k = 6, b = 30): the sorted
+   inserted pairs and the verified score per seed.  Kernel changes must keep
+   selections bit-identical; one that alters a plan on purpose has to update
+   these values. *)
+let golden_sample =
+  [
+    ( 1,
+      277,
+      [ (0, 21); (0, 24); (0, 32); (0, 643); (1, 46); (2, 60); (2, 1032); (4, 8); (5, 290);
+        (13, 60); (18, 402); (22, 736); (24, 749); (37, 724); (37, 797); (78, 407);
+        (108, 1061); (149, 859); (181, 408); (186, 1182); (187, 1074); (228, 1032);
+        (266, 408); (300, 384); (327, 1130); (370, 1037); (425, 428); (425, 477);
+        (640, 1096); (704, 1148) ] );
+    ( 2,
+      271,
+      [ (0, 21); (0, 24); (0, 32); (0, 643); (2, 13); (2, 1032); (4, 8); (4, 46); (5, 290);
+        (13, 60); (18, 402); (22, 736); (24, 749); (37, 724); (37, 797); (78, 407);
+        (108, 777); (110, 725); (149, 859); (186, 945); (187, 1074); (228, 1032);
+        (300, 384); (362, 945); (362, 961); (370, 1037); (425, 428); (640, 1096);
+        (704, 1148); (775, 1130) ] );
+    ( 3,
+      271,
+      [ (0, 21); (0, 24); (0, 643); (1, 46); (2, 13); (2, 32); (2, 1032); (4, 8); (5, 290);
+        (13, 60); (18, 402); (22, 736); (24, 749); (37, 724); (37, 797); (108, 706);
+        (110, 725); (149, 859); (186, 945); (187, 1074); (228, 1032); (300, 384);
+        (327, 1130); (362, 945); (362, 961); (370, 1037); (407, 682); (425, 428);
+        (532, 640); (704, 1148) ] );
+  ]
+
+let test_golden_sample () =
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  List.iter
+    (fun (seed, score, pairs) ->
+      let o = (Pcfr.pcfr ~seed ~g ~k:6 ~budget:30 ()).Pcfr.outcome in
+      let sorted = List.sort compare (List.map (fun (u, v) -> (min u v, max u v)) o.Outcome.inserted) in
+      Alcotest.(check (list (pair int int))) (Printf.sprintf "seed %d plan" seed) pairs sorted;
+      Alcotest.(check int) (Printf.sprintf "seed %d score" seed) score o.Outcome.score)
+    golden_sample
+
 let prop_pcfr_at_least_cbtm =
   (* On clustered graphs components are triangle-independent — the regime
      the paper's DP assumes — and there PCFR provably dominates CBTM: its
@@ -136,6 +175,7 @@ let suite =
     Alcotest.test_case "level stats consistent" `Quick test_level_stats_consistent;
     Alcotest.test_case "no truss material" `Quick test_no_truss_material;
     Alcotest.test_case "time limit" `Quick test_time_limit;
+    Alcotest.test_case "golden plans on gowalla-sample" `Quick test_golden_sample;
     Helpers.qtest prop_pcfr_at_least_cbtm;
     Helpers.qtest prop_insertions_verified_and_new;
   ]
