@@ -252,10 +252,11 @@ let test_serve_replay =
            (Service.Mutation_log.apply store
               [ del 13; Service.Mutation_log.Insert (1001, 1002) ])))
 
-(* Domain-parallel variants of the two heaviest CSR kernels under a 2-worker
-   pool.  Kept last in the suite so the pool spin-up never perturbs the
-   sequential measurements; {!benchmark} restores the previous domain count
-   once the suite finishes.  [Par.set_domains] is a cheap no-op after the
+(* The two CSR kernels that fork — support counting, and the decompose
+   whose support pass it is — under a 2-domain pool.  Kept last in the
+   suite so the pool spin-up never perturbs the sequential measurements;
+   {!benchmark} restores the previous domain count once the suite
+   finishes.  [Par.set_domains] is a cheap no-op after the
    first call, so it adds nothing measurable to the per-run cost. *)
 let test_csr_support_par2 =
   Test.make ~name:(kname "csr_support_par2")
@@ -268,34 +269,6 @@ let test_csr_decompose_par2 =
     (Staged.stage (fun () ->
          Par.set_domains 2;
          ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
-
-(* 4-worker variants of the round-synchronized peel paths and the
-   speculative g-sweep.  On a single-CPU host these bound the parallel
-   machinery's overhead rather than showing speedup; the perf gate records
-   them so either direction of drift is visible. *)
-let test_csr_decompose_par4 =
-  Test.make ~name:(kname "csr_decompose_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
-
-let test_onion_peel_par4 =
-  Test.make ~name:(kname "onion_peel_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         match Lazy.force kernel_onion with
-         | None -> ()
-         | Some (h, kd, comp) ->
-           ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
-
-let test_flow_sweep_par4 =
-  Test.make ~name:(kname "flow_sweep_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         match Lazy.force kernel_dag with
-         | None -> ()
-         | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ())))
 
 (* One kernel's multi-sample measurement: Bechamel's raw linear-regression
    samples, normalized per run, feed the median/MAD baseline statistics
@@ -341,9 +314,6 @@ let benchmark ?(quota_s = 1.0) () =
       test_serve_replay;
       test_csr_support_par2;
       test_csr_decompose_par2;
-      test_csr_decompose_par4;
-      test_onion_peel_par4;
-      test_flow_sweep_par4;
     ]
   in
   let instances =

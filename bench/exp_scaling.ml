@@ -92,45 +92,23 @@ let bench_dp_scaling () =
        ~quick:[ (100, 50); (100, 400); (1000, 50) ]
        ~full:[ (100, 50); (100, 400); (1000, 50); (1000, 400); (4000, 100) ])
 
-(* Domain-scaling ladder: the three peel kernels plus the speculative
-   g-sweep at 1, 2 and 4 domains on one fixed graph.  Each cell also lands
-   in the --json output as a scalar ("scaling/<kernel>_d<d>_s"), which is
-   what the CI scaling-smoke job archives to plot the curve over time.  On
-   a single-core host the d>1 rows measure pool overhead, not speedup —
-   still worth tracking, since that overhead is the price every laptop
-   pays. *)
+(* Domain-scaling ladder: support counting and the decompose that runs it,
+   the kernels with a parallel path, at 1, 2 and 4 domains on one fixed
+   graph.  Each cell also lands in the --json output as a scalar
+   ("scaling/<kernel>_d<d>_s"), which is what the CI scaling-smoke job
+   archives to plot the curve over time.  On a single-core host the d>1
+   rows measure pool overhead, not speedup — still worth tracking, since
+   that overhead is the price every laptop pays. *)
 let bench_domains_ladder () =
   Printf.printf "\ndomain scaling (fixed graph, wall time per kernel):\n";
   let rng = Graphcore.Rng.create 6 in
   let n = Exp_common.pick ~quick:4000 ~full:32000 in
   let g = Graphcore.Gen.powerlaw_cluster ~rng ~n ~m:6 ~p:0.5 in
   let csr = Graphcore.Csr.of_graph g in
-  let k = 4 in
-  let dec = Truss.Decompose.run g in
-  let sweep_fixture =
-    match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
-    | [] -> None
-    | comp :: _ ->
-      let ctx = Maxtruss.Score.make_ctx g ~k in
-      let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
-      let onion = Truss.Onion.peel ~h:(Graphcore.Graph.copy h) ~k ~candidates:comp () in
-      Some (h, comp, Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion)
-  in
   let kernels =
     [
       ("support", fun () -> ignore (Truss.Support.all_csr csr));
       ("decompose", fun () -> ignore (Truss.Decompose.run g));
-      ( "onion",
-        fun () ->
-          match sweep_fixture with
-          | None -> ()
-          | Some (h, comp, _) -> ignore (Truss.Onion.peel ~h ~k ~candidates:comp ()) );
-      ( "sweep",
-        fun () ->
-          match sweep_fixture with
-          | None -> ()
-          | Some (_, _, dag) ->
-            ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ()) );
     ]
   in
   let domain_counts = [ 1; 2; 4 ] in

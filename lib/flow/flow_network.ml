@@ -130,24 +130,6 @@ let num_arcs t = t.n_arcs
 
 let reset t = Array.blit t.arc_init 0 t.arc_cap 0 t.n_arcs
 
-let copy t =
-  (* Freeze first so the copy shares no lazily-built state with the
-     original: both sides end up with complete, independent arrays, and a
-     copy taken on the owner domain can be solved on another domain
-     without racing the original's freeze. *)
-  freeze t;
-  {
-    nodes = t.nodes;
-    arc_dst = Array.copy t.arc_dst;
-    arc_cap = Array.copy t.arc_cap;
-    arc_init = Array.copy t.arc_init;
-    n_arcs = t.n_arcs;
-    out_deg = Array.copy t.out_deg;
-    first_out = Array.copy t.first_out;
-    adj = Array.copy t.adj;
-    frozen = true;
-  }
-
 type snapshot = { s_n_arcs : int; s_cap : int array; s_init : int array }
 
 let snapshot t =

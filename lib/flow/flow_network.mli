@@ -56,12 +56,6 @@ val num_arcs : t -> int
 val reset : t -> unit
 (** Restore every arc to its initial capacity (undoes all flow). *)
 
-val copy : t -> t
-(** A deep, fully independent copy — same arcs and arc ids, same residual
-    state, no shared arrays.  Freezes the adjacency first, so a copy taken
-    on one domain is safe to solve on another while the original keeps
-    being used. *)
-
 (** {2 Snapshots}
 
     A snapshot captures the residual and initial capacities of every arc —

@@ -52,27 +52,6 @@ let create ~nodes ~source ~sink =
 
 let network t = t.net
 
-let clone t =
-  {
-    net = Flow_network.copy t.net;
-    source = t.source;
-    sink = t.sink;
-    (* Arc ids are positional, so the copied network's gates are addressed
-       by the very same ids. *)
-    gate_arc = Array.copy t.gate_arc;
-    gate_base = Array.copy t.gate_base;
-    gate_offset = Array.copy t.gate_offset;
-    n_gates = t.n_gates;
-    solved = t.solved;
-    last_g = t.last_g;
-    flow = t.flow;
-    phases = t.phases;
-    (* The checkpoint is immutable once taken (restore only READS its
-       arrays), so sharing it between clones is safe — even across
-       domains. *)
-    low = t.low;
-  }
-
 let add_arc t ~src ~dst ~cap =
   if t.solved then invalid_arg "Parametric.add_arc: network already solved";
   ignore (Flow_network.add_arc t.net ~src ~dst ~cap)

@@ -48,11 +48,3 @@ val solve : t -> g:int -> Min_cut.t
 val network : t -> Flow_network.t
 (** The underlying network (left in its last solved state); exposed for
     tests and diagnostics. *)
-
-val clone : t -> t
-(** An independent engine over a deep copy of the network in its CURRENT
-    state (retained flow, checkpoint and warm-start bookkeeping included):
-    solving the clone never touches the original and vice versa, so clones
-    taken before a parallel region let several probes of one sweep run
-    concurrently.  Since {!solve} returns the same cut from any starting
-    state, a clone's answers are bit-identical to the original's. *)

@@ -261,7 +261,7 @@ let iter_triangles t f = iter_triangles_range t ~lo:0 ~hi:t.n f
 (* Vertex boundaries whose oriented out-degree prefix sums are (nearly)
    even: oriented edges approximate the intersection work per vertex far
    better than vertex counts do on skewed degree distributions. *)
-let triangle_chunk_bounds t ~chunks =
+let triangle_range_bounds t ~chunks =
   let o = Lazy.force t.orient in
   let c = max 1 chunks in
   let total = o.fwd_ptr.(t.n) in

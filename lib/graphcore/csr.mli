@@ -97,7 +97,7 @@ val iter_triangles_range : t -> lo:int -> hi:int -> (int -> int -> int -> unit) 
     them.  Read-only on the snapshot — safe to run concurrently after
     {!prepare_triangles}. *)
 
-val triangle_chunk_bounds : t -> chunks:int -> int array
+val triangle_range_bounds : t -> chunks:int -> int array
 (** [chunks + 1] monotone vertex boundaries [b] with [b.(0) = 0] and
     [b.(chunks) = max_node_id + 1], balanced by oriented out-degree prefix
     sums so each [\[b.(i), b.(i+1))] range carries comparable triangle

@@ -8,14 +8,6 @@ let c_selections = Obs.Counter.make "flow_plan.selections"
 
 let c_variants = Obs.Counter.make "flow_plan.leaf_drop_variants"
 
-(* Speculative probe telemetry: [spec_probes] counts look-ahead solves
-   launched on cloned engines (work that may be discarded), [spec_hits]
-   counts committed probes answered from the prefetch cache instead of a
-   fresh solve at eval time.  Both stay 0 at one domain. *)
-let c_spec_probes = Obs.Counter.make "flow_plan.spec_probes"
-
-let c_spec_hits = Obs.Counter.make "flow_plan.spec_hits"
-
 let g_max ~dag ~w1 ~w2 =
   (2 * dag.Block_dag.total_link_weight)
   + (w1 * dag.Block_dag.max_layer)
@@ -84,70 +76,13 @@ let sweep ?(impl = `Parametric) ~dag ~w1 ~w2 ~probes () =
     let results = ref [] in
     let budget = ref probes in
     let pnet = lazy (parametric_net ~dag ~w1 ~w2) in
-    (* Speculative parallel probes: each bisection round knows not just its
-       candidate g but the g's the NEXT rounds would probe (the two child
-       midpoints, plus the runner-up interval's midpoint).  When the Par
-       pool would genuinely fork — parametric engine, pool sized above 1,
-       not already inside a region (PCFR's per-component fan-out) — the
-       round solves its candidate and those look-aheads concurrently:
-       the candidate on the shared engine, so warm-start state advances
-       exactly as a sequential sweep's would, and the look-aheads on
-       clones of its pre-round state.  Results are cached by g; losers
-       (look-aheads the heap never commits) are simply dropped.  The
-       probe SEQUENCE — which g's are committed, in which order, against
-       the budget — is untouched, and since [Parametric.solve] returns
-       the same cut from any starting state, so are the selections;
-       speculation only collapses sequential solve rounds into parallel
-       ones (and spends discarded solves to do it). *)
-    let speculative =
-      match impl with `Parametric -> Par.available () | `Rebuild -> false
-    in
-    let cache : (int, selection) Hashtbl.t = Hashtbl.create 16 in
-    let solve_parametric eng g = selection_of_cut ~dag ~g (Flow.Parametric.solve eng ~g) in
-    let prefetch ~primary gs =
-      if speculative then begin
-        let wanted =
-          List.sort_uniq Int.compare (primary :: gs)
-          |> List.filter (fun g -> g >= 0 && not (Hashtbl.mem cache g))
-        in
-        match wanted with
-        | [] | [ _ ] -> () (* a lone solve gains nothing from forking *)
-        | wanted ->
-          let eng = Lazy.force pnet in
-          Obs.Counter.add c_spec_probes
-            (List.length (List.filter (fun g -> g <> primary) wanted));
-          let thunks =
-            List.map
-              (fun g ->
-                if g = primary then fun () -> (g, solve_parametric eng g)
-                else begin
-                  (* cloned BEFORE the region runs, so every clone sees the
-                     pre-round state no matter the schedule *)
-                  let c = Flow.Parametric.clone eng in
-                  fun () -> (g, solve_parametric c g)
-                end)
-              wanted
-          in
-          Array.iter
-            (fun (g, sel) -> Hashtbl.replace cache g sel)
-            (Par.tasks (Array.of_list thunks))
-      end
-    in
     let eval g =
       decr budget;
       Obs.Counter.incr c_probes;
       let sel =
-        match Hashtbl.find_opt cache g with
-        | Some sel ->
-          Obs.Counter.incr c_spec_hits;
-          sel
-        | None -> (
-          match impl with
-          | `Rebuild -> min_cut_selection ~dag ~w1 ~w2 ~g
-          | `Parametric ->
-            let sel = solve_parametric (Lazy.force pnet) g in
-            if speculative then Hashtbl.replace cache g sel;
-            sel)
+        match impl with
+        | `Rebuild -> min_cut_selection ~dag ~w1 ~w2 ~g
+        | `Parametric -> selection_of_cut ~dag ~g (Flow.Parametric.solve (Lazy.force pnet) ~g)
       in
       let signature = String.concat "," (List.map string_of_int sel.blocks) in
       if (not (Hashtbl.mem seen signature)) && sel.blocks <> [] then begin
@@ -158,8 +93,6 @@ let sweep ?(impl = `Parametric) ~dag ~w1 ~w2 ~probes () =
       sel
     in
     let lo = 0 and hi = g_max ~dag ~w1 ~w2 in
-    if !budget > 1 then
-      prefetch ~primary:lo (hi :: (if !budget > 2 then [ (lo + hi) / 2 ] else []));
     let s_lo = eval lo in
     let s_hi = if !budget > 0 then eval hi else s_lo in
     (* Refine between gate values whose anchored sets differ; h(g) is
@@ -184,17 +117,6 @@ let sweep ?(impl = `Parametric) ~dag ~w1 ~w2 ~probes () =
       | None -> continue := false
       | Some (_, glo, hlo, ghi, hhi) ->
         let mid = (glo + ghi) / 2 in
-        if !budget > 1 then begin
-          (* The would-be child probes of this split, plus the midpoint of
-             the interval the heap would refine next. *)
-          let spec = [ (glo + mid) / 2; (mid + ghi) / 2 ] in
-          let spec =
-            match Min_heap.peek heap with
-            | Some (_, g2lo, _, g2hi, _) -> ((g2lo + g2hi) / 2) :: spec
-            | None -> spec
-          in
-          prefetch ~primary:mid spec
-        end;
         let sm = eval mid in
         push glo hlo mid sm.h_score;
         push mid sm.h_score ghi hhi

@@ -7,17 +7,11 @@
    0, so [--domains 1] never spawns anything and runs exactly the
    sequential code path.
 
-   Determinism contract: results land in a preallocated array at their
-   task index and Obs span buffers are merged in task-index order after
-   the join, so outputs (and exports) are bit-identical at any domain
-   count — parallelism only changes wall-clock time.  {!tasks} assigns
-   task t to slot [t mod domains] STATICALLY; {!steal_tasks} assigns the
-   same initial round-robin but lets idle slots steal queued tasks from
-   busy ones (skewed task costs — power-law peel frontiers — would
-   otherwise serialize on one fat slot).  WHICH domain runs a task is
-   scheduling-dependent under stealing, but since nothing about a result
-   depends on the executing domain, outputs are unchanged; only the
-   [par.steals] counter observes the schedule.  Callers must keep task
+   Determinism contract: {!tasks} assigns task t to slot [t mod domains]
+   statically, results land in a preallocated array at their task index,
+   and Obs span buffers are merged in task-index order after the join, so
+   outputs (and exports) are bit-identical at any domain count —
+   parallelism only changes wall-clock time.  Callers must keep task
    bodies free of shared mutable state (or confine writes to disjoint
    slices); everything this module hands a task is task-private.
 
@@ -29,14 +23,9 @@
 
 (* [par.tasks] counts tasks run inside a forked region (sequential
    fallbacks don't count — the counter is the "did it actually fork"
-   probe CI asserts on).  [par.steals] counts tasks a slot took from
-   another slot's deque; its value depends on runtime scheduling and is
-   exempt from the bit-identical-exports contract (documented in
-   METRICS_SCHEMA.md).  [par.pool_size] is the current total parallelism
-   (workers + owner). *)
+   probe CI asserts on).  [par.pool_size] is the current total
+   parallelism (workers + owner). *)
 let c_tasks = Obs.Counter.make "par.tasks"
-
-let c_steals = Obs.Counter.make "par.steals"
 
 let g_pool = Obs.Gauge.make "par.pool_size"
 
@@ -163,50 +152,9 @@ let available () = domains () > 1 && Domain.self () = owner && not !busy
 
 let seq_tasks fs = Array.map (fun f -> f ()) fs
 
-(* Shared fork/join plumbing: post [job] to the pool, participate as slot
-   0, wait for the workers, then merge span buffers and re-raise the
-   lowest-indexed task failure.  Both region flavors ({!tasks},
-   {!steal_tasks}) differ only in how [job] picks its next task. *)
-let run_region p ~nt ~(make_job : run_task:(int -> unit) -> int -> unit)
-    ~(task : int -> 'a) : 'a array =
-  (* One span buffer per task, created pre-fork on the owner; merged in
-     task order post-join so the exported tree is schedule-independent. *)
-  let scopes = Array.init nt (fun _ -> Obs.Domain_scope.create ()) in
-  let results : 'a option array = Array.make nt None in
-  let errors : (exn * Printexc.raw_backtrace) option array = Array.make nt None in
-  let run_task t =
-    match Obs.Domain_scope.run scopes.(t) (fun () -> task t) with
-    | v -> results.(t) <- Some v
-    | exception e -> errors.(t) <- Some (e, Printexc.get_raw_backtrace ())
-  in
-  let job = make_job ~run_task in
-  Obs.Counter.add c_tasks nt;
-  Obs.Gauge.set_int g_pool (p.workers + 1);
-  busy := true;
-  Mutex.lock p.mutex;
-  p.job <- job;
-  p.seq <- p.seq + 1;
-  p.pending <- p.workers;
-  Condition.broadcast p.work;
-  Mutex.unlock p.mutex;
-  job 0;
-  Mutex.lock p.mutex;
-  while p.pending > 0 do
-    Condition.wait p.done_ p.mutex
-  done;
-  (* The mutex handoff above is the happens-before edge that makes the
-     workers' writes to [results]/[errors]/span buffers visible here. *)
-  p.job <- no_job;
-  Mutex.unlock p.mutex;
-  busy := false;
-  Array.iter Obs.Domain_scope.merge scopes;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    errors;
-  Array.map (function Some v -> v | None -> assert false) results
-
+(* A forked region posts the job to the pool, participates as slot 0,
+   waits for the workers, then merges span buffers and re-raises the
+   lowest-indexed task failure. *)
 let tasks (fs : (unit -> 'a) array) : 'a array =
   let nt = Array.length fs in
   let d = domains () in
@@ -214,97 +162,48 @@ let tasks (fs : (unit -> 'a) array) : 'a array =
   else if d <= 1 || nt <= 1 || Domain.self () <> owner || !busy then seq_tasks fs
   else begin
     let p = get_pool (d - 1) in
-    let slots = d in
-    let make_job ~run_task slot =
+    (* One span buffer per task, created pre-fork on the owner; merged in
+       task order post-join so the exported tree is schedule-independent. *)
+    let scopes = Array.init nt (fun _ -> Obs.Domain_scope.create ()) in
+    let results : 'a option array = Array.make nt None in
+    let errors : (exn * Printexc.raw_backtrace) option array = Array.make nt None in
+    let job slot =
       let t = ref slot in
       while !t < nt do
-        run_task !t;
-        t := !t + slots
+        (match Obs.Domain_scope.run scopes.(!t) fs.(!t) with
+        | v -> results.(!t) <- Some v
+        | exception e -> errors.(!t) <- Some (e, Printexc.get_raw_backtrace ()));
+        t := !t + d
       done
     in
-    run_region p ~nt ~make_job ~task:(fun t -> fs.(t) ())
-  end
-
-let steal_tasks (fs : (unit -> 'a) array) : 'a array =
-  let nt = Array.length fs in
-  let d = domains () in
-  if nt = 0 then [||]
-  else if d <= 1 || nt <= 1 || Domain.self () <> owner || !busy then seq_tasks fs
-  else begin
-    let p = get_pool (d - 1) in
-    let slots = d in
-    (* Per-slot deque: slot s initially owns tasks s, s + slots, ... in
-       ascending index order (the same assignment {!tasks} uses), drained
-       through an atomic cursor.  fetch_and_add hands out each index
-       exactly once — the cursor only grows, so there is no ABA hazard —
-       and a slot that exhausts its own deque drains its neighbours'
-       remainders instead of idling.  The arrays are published to the
-       workers by the job-posting mutex handoff. *)
-    let deques =
-      Array.init slots (fun s ->
-          let cnt = (nt - s + slots - 1) / slots in
-          (Array.init (max cnt 0) (fun i -> s + (i * slots)), Atomic.make 0))
-    in
-    let pop (items, cursor) =
-      let i = Atomic.fetch_and_add cursor 1 in
-      if i < Array.length items then items.(i) else -1
-    in
-    let make_job ~run_task slot =
-      let mine = deques.(slot) in
-      let t = ref (pop mine) in
-      while !t >= 0 do
-        run_task !t;
-        t := pop mine
-      done;
-      let stolen = ref 0 in
-      for off = 1 to slots - 1 do
-        let victim = deques.((slot + off) mod slots) in
-        let t = ref (pop victim) in
-        while !t >= 0 do
-          incr stolen;
-          run_task !t;
-          t := pop victim
-        done
-      done;
-      if !stolen > 0 then Obs.Counter.add c_steals !stolen
-    in
-    run_region p ~nt ~make_job ~task:(fun t -> fs.(t) ())
+    Obs.Counter.add c_tasks nt;
+    Obs.Gauge.set_int g_pool d;
+    busy := true;
+    Mutex.lock p.mutex;
+    p.job <- job;
+    p.seq <- p.seq + 1;
+    p.pending <- p.workers;
+    Condition.broadcast p.work;
+    Mutex.unlock p.mutex;
+    job 0;
+    Mutex.lock p.mutex;
+    while p.pending > 0 do
+      Condition.wait p.done_ p.mutex
+    done;
+    (* The mutex handoff above is the happens-before edge that makes the
+       workers' writes to [results]/[errors]/span buffers visible here. *)
+    p.job <- no_job;
+    Mutex.unlock p.mutex;
+    busy := false;
+    Array.iter Obs.Domain_scope.merge scopes;
+    Array.iter
+      (function
+        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ())
+      errors;
+    Array.map (function Some v -> v | None -> assert false) results
   end
 
 let parallel_map f xs = tasks (Array.map (fun x () -> f x) xs)
 
 let map_list f l = Array.to_list (parallel_map f (Array.of_list l))
-
-let chunk_bounds ~chunks ~n =
-  if n <= 0 then [||]
-  else begin
-    let c = max 1 (min chunks n) in
-    Array.init c (fun i -> (i * n / c, (i + 1) * n / c))
-  end
-
-let parallel_for ?chunks ~n f =
-  let c = match chunks with Some c -> c | None -> domains () in
-  ignore (tasks (Array.map (fun (lo, hi) () -> f lo hi) (chunk_bounds ~chunks:c ~n)))
-
-(* Default work granularity, in loop iterations (historically the
-   hardcoded 4096-edge cutoff of the support kernel).  Call sites tune
-   [?grain] to their per-iteration cost: cheap scatters keep the default,
-   triangle-heavy peel rounds run profitably on smaller chunks. *)
-let default_grain = 4096
-
-let range_chunks ~grain ~n =
-  (* Several grain-sized chunks per slot give the stealer something to
-     take, but cap the count so per-chunk bookkeeping (result slots, span
-     buffers, merge order) stays negligible. *)
-  let d = domains () in
-  let wanted = (n + grain - 1) / grain in
-  chunk_bounds ~chunks:(min wanted (8 * d)) ~n
-
-let map_range ?(grain = default_grain) ~n f =
-  if grain < 1 then invalid_arg "Par.map_range: grain must be >= 1";
-  if n <= 0 then [||]
-  else if (not (available ())) || n <= grain then [| f 0 n |]
-  else
-    steal_tasks (Array.map (fun (lo, hi) () -> f lo hi) (range_chunks ~grain ~n))
-
-let for_range ?grain ~n f = ignore (map_range ?grain ~n f)

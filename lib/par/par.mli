@@ -13,11 +13,7 @@
     buffers merge in task-index order after the join, so a primitive
     returns bit-identical results at any domain count, provided task
     bodies touch no shared mutable state (or write only to disjoint
-    slices) — which is the caller's obligation.  {!tasks} additionally
-    fixes WHICH slot runs each task (static [t mod domains]);
-    {!steal_tasks}/{!map_range} let idle slots steal from busy ones, so
-    the executing domain is scheduling-dependent — results are still
-    bit-identical, but the [par.steals] counter is not.
+    slices) — which is the caller's obligation.
 
     Reentrancy: a region entered from a worker domain, or while another
     region runs on the main domain, degrades to sequential execution
@@ -27,9 +23,8 @@
     re-raised (with its backtrace) after all tasks finish.
 
     Metrics: [par.tasks] counts tasks run inside genuinely forked regions
-    (sequential fallbacks don't bump it), [par.steals] counts stolen
-    tasks (scheduling-dependent), and the [par.pool_size] gauge holds the
-    current total parallelism. *)
+    (sequential fallbacks don't bump it), and the [par.pool_size] gauge
+    holds the current total parallelism. *)
 
 val domains : unit -> int
 (** Current target parallelism (>= 1).  Resolved from [MAXTRUSS_DOMAINS]
@@ -43,52 +38,20 @@ val set_domains : int -> unit
 val available : unit -> bool
 (** True when a region entered right now would actually fork: pool sized
     above 1, calling domain is the owner, and no region is already
-    running.  Lets callers skip building speculative work that a
-    sequential fallback would execute verbatim (and pointlessly). *)
+    running.  Lets callers skip building per-task scratch that a
+    sequential fallback would not need. *)
 
 val tasks : (unit -> 'a) array -> 'a array
 (** Run the thunks as one parallel region; [tasks fs |> Array.get i] is
     [fs.(i) ()] up to evaluation interleaving.  Task [t] runs on slot
     [t mod domains ()], each slot in ascending index order. *)
 
-val steal_tasks : (unit -> 'a) array -> 'a array
-(** Like {!tasks}, but with work stealing: each slot starts on the same
-    round-robin assignment and drains other slots' queued tasks once its
-    own run out, so one slow task doesn't leave the rest of the pool
-    idle.  Same results, same result order, same exception rule as
-    {!tasks}; prefer it whenever per-task costs are skewed. *)
-
 val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 (** One task per element — intended for coarse-grained work items (e.g.
-    per-component phases); for fine-grained loops chunk with
-    {!chunk_bounds}, {!parallel_for} or {!map_range} instead. *)
+    per-component phases). *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over a list, preserving order. *)
-
-val chunk_bounds : chunks:int -> n:int -> (int * int) array
-(** Even static split of [0, n) into at most [chunks] non-empty [(lo, hi)]
-    ranges: chunk [i] is [(i*n/c, (i+1)*n/c)].  Empty for [n <= 0]. *)
-
-val parallel_for : ?chunks:int -> n:int -> (int -> int -> unit) -> unit
-(** [parallel_for ~n f] runs [f lo hi] over a static chunking of [0, n)
-    ([?chunks] defaults to [domains ()]).  [f] must write only to
-    chunk-disjoint state. *)
-
-val default_grain : int
-(** Default [?grain] (4096 iterations) — the historical sequential
-    cutoff of the support kernel, now a per-call-site knob. *)
-
-val map_range : ?grain:int -> n:int -> (int -> int -> 'a) -> 'a array
-(** [map_range ~grain ~n f] splits [0, n) into roughly grain-sized
-    chunks (at most 8 per slot), runs [f lo hi] per chunk under
-    {!steal_tasks}, and returns the per-chunk results in chunk order.
-    Runs [f 0 n] inline — one result — when [n <= grain] or the pool is
-    not {!available}: the grain IS the sequential cutoff.  [f] must
-    write only to chunk-disjoint state. *)
-
-val for_range : ?grain:int -> n:int -> (int -> int -> unit) -> unit
-(** {!map_range} for effects only. *)
 
 val shutdown : unit -> unit
 (** Join all worker domains and drop the pool; the next region respawns

@@ -54,9 +54,10 @@ let onion_layers t ~k =
     match cached with
     | Some r -> r
     | None ->
-      (* Computed outside the lock: [peel]'s `Csr path only reads the epoch,
-         so two domains racing here both produce the same answer and the
-         second insert is a harmless overwrite. *)
+      (* Computed outside the lock: [compute_onion] only reads the epoch
+         (the peel runs on a fresh subgraph), so two domains racing here
+         both produce the same answer and the second insert is a harmless
+         overwrite. *)
       let r = Obs.Span.with_ "service.onion" (fun () -> compute_onion t ~k) in
       Mutex.lock t.memo_lock;
       Hashtbl.replace t.onion_memo k r;

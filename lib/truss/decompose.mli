@@ -33,8 +33,8 @@ val trussness : t -> Edge_key.t -> int
 val trussness_opt : t -> Edge_key.t -> int option
 
 val kmax : t -> int
-(** Largest [k] with a non-empty k-truss ([0] for a triangle-free graph of
-    fewer than 1 edges; [2] for any non-empty graph). *)
+(** Largest [k] with a non-empty k-truss: [0] exactly for an edgeless
+    graph, at least [2] otherwise. *)
 
 val k_class : t -> int -> Edge_key.t list
 (** Edges with trussness exactly [k] (the k-class [E_k]). *)

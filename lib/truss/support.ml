@@ -6,11 +6,10 @@ let c_triangles = Obs.Counter.make "support.triangles_enumerated"
 
 (* Below this many edges the per-domain scratch arrays cost more than the
    enumeration they split; the cutoff only switches execution strategy,
-   never the result.  This call site keeps the coarse default grain: the
-   merge pass costs chunks * m, so unlike the peel rounds it wants as FEW
-   chunks as possible — exactly [Par.domains ()], statically balanced by
-   oriented out-degree rather than grain-sliced. *)
-let par_cutoff = Par.default_grain
+   never the result.  The merge pass costs chunks * m, so the scatter uses
+   as few chunks as possible: exactly [Par.domains ()], balanced by
+   oriented out-degree. *)
+let par_cutoff = 4096
 
 let all_csr csr =
   let m = Csr.num_edges csr in
@@ -29,7 +28,7 @@ let all_csr csr =
        Triangle counts are integers, so the merged array is identical to
        the sequential scatter at any domain count. *)
     Csr.prepare_triangles csr;
-    let bounds = Csr.triangle_chunk_bounds csr ~chunks:d in
+    let bounds = Csr.triangle_range_bounds csr ~chunks:d in
     let parts =
       Par.tasks
         (Array.init (Array.length bounds - 1) (fun i () ->

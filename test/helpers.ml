@@ -15,6 +15,16 @@ let fig1 () =
 let fig1_c1_edges =
   List.map (fun (u, v) -> Edge_key.make u v) [ (0, 7); (5, 7); (0, 5); (2, 5); (2, 8); (5, 8) ]
 
+(* The block DAG of Fig. 1's component C1 at k = 4 (Fig. 2). *)
+let fig1_dag () =
+  let g = fig1 () in
+  let dec = Truss.Decompose.run g in
+  let ctx = Maxtruss.Score.make_ctx g ~k:4 in
+  let comp = fig1_c1_edges in
+  let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
+  let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k:4 ~candidates:comp () in
+  Maxtruss.Block_dag.build ~h ~dec ~k:4 ~component:comp ~onion
+
 let triangle () = Graph.of_edges [ (0, 1); (1, 2); (0, 2) ]
 
 let path n = Graph.of_edges (List.init (n - 1) (fun i -> (i, i + 1)))

@@ -1,23 +1,14 @@
 open Graphcore
 open Maxtruss
 
-let build_fig1_dag () =
-  let g = Helpers.fig1 () in
-  let dec = Truss.Decompose.run g in
-  let ctx = Score.make_ctx g ~k:4 in
-  let comp = Helpers.fig1_c1_edges in
-  let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-  let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k:4 ~candidates:comp () in
-  Block_dag.build ~h ~dec ~k:4 ~component:comp ~onion
-
 let test_fig2_block_structure () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   Alcotest.(check int) "three blocks" 3 dag.Block_dag.n_blocks;
   let sizes = Array.map Array.length dag.Block_dag.edges_of |> Array.to_list |> List.sort compare in
   Alcotest.(check (list int)) "block sizes" [ 2; 2; 2 ] sizes
 
 let test_fig2_link_weights () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   (* A -> B weight 1 and A -> C weight 1 as in Example 3 *)
   Alcotest.(check int) "two links" 2 (Array.length dag.Block_dag.links);
   Array.iter
@@ -28,7 +19,7 @@ let test_fig2_link_weights () =
     dag.Block_dag.links
 
 let test_fig2_sink_weights () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   (* B and C have no out-links: base sink weight = block size = 2 *)
   let sink_blocks = ref 0 in
   Array.iteri
@@ -41,12 +32,12 @@ let test_fig2_sink_weights () =
   Alcotest.(check int) "two sink-attached blocks" 2 !sink_blocks
 
 let test_fig2_q () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   (* q = link weights (1+1) + sink weights (2+2) = 6 *)
   Alcotest.(check int) "total link weight" 6 dag.Block_dag.total_link_weight
 
 let test_block_of_partition () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   List.iter
     (fun key ->
       match Block_dag.block_of dag key with
@@ -55,7 +46,7 @@ let test_block_of_partition () =
     Helpers.fig1_c1_edges
 
 let test_blocks_homogeneous_layer () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   (* block of (a,f)=(0,5) must be the layer-2 block {(a,f),(c,f)} *)
   match Block_dag.block_of dag (Edge_key.make 0 5) with
   | None -> Alcotest.fail "missing block"
@@ -68,7 +59,7 @@ let test_blocks_homogeneous_layer () =
       (List.map Edge_key.endpoints members)
 
 let test_edges_of_blocks () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let all = Block_dag.edges_of_blocks dag (List.init dag.Block_dag.n_blocks Fun.id) in
   Alcotest.(check int) "all edges covered" 6 (List.length all)
 

@@ -310,32 +310,6 @@ let test_parametric_descending () =
 
 let test_parametric_zigzag () = check_parametric_sequence "zigzag" [ 0; 30; 4; 11; 4; 0; 8; 30 ]
 
-(* Clones are fully independent engines over the current state: a clone
-   solved at any g matches the cold reference, and neither side's solves
-   perturb the other's. *)
-let test_parametric_clone_independent () =
-  let p = parametric_fixture () in
-  ignore (Flow.Parametric.solve p ~g:5);
-  let check name eng g =
-    let warm = Flow.Parametric.solve eng ~g in
-    let cold = parametric_fixture_cold g in
-    Alcotest.(check int) (Printf.sprintf "%s: value at g=%d" name g) cold.Min_cut.value
-      warm.Min_cut.value;
-    Alcotest.(check (array bool))
-      (Printf.sprintf "%s: side at g=%d" name g)
-      cold.Min_cut.source_side warm.Min_cut.source_side
-  in
-  let c1 = Flow.Parametric.clone p in
-  let c2 = Flow.Parametric.clone p in
-  (* each engine walks its own probe sequence, interleaved *)
-  check "clone1" c1 11;
-  check "orig" p 9;
-  check "clone2" c2 0;
-  check "clone1" c1 2;
-  check "orig" p 30;
-  check "clone2" c2 30;
-  check "orig" p 0
-
 let prop_parametric_matches_rebuild =
   (* Random gated networks, random probe sequences: the warm-started engine
      must match a from-scratch rebuild at every probe. *)
@@ -408,7 +382,6 @@ let suite =
     Alcotest.test_case "parametric ascending" `Quick test_parametric_ascending;
     Alcotest.test_case "parametric descending" `Quick test_parametric_descending;
     Alcotest.test_case "parametric zigzag" `Quick test_parametric_zigzag;
-    Alcotest.test_case "parametric clone independent" `Quick test_parametric_clone_independent;
     Helpers.qtest prop_parametric_matches_rebuild;
     Helpers.qtest prop_duality;
     Helpers.qtest prop_cut_separates;

@@ -1,29 +1,20 @@
 open Graphcore
 open Maxtruss
 
-let build_fig1_dag () =
-  let g = Helpers.fig1 () in
-  let dec = Truss.Decompose.run g in
-  let ctx = Score.make_ctx g ~k:4 in
-  let comp = Helpers.fig1_c1_edges in
-  let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-  let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k:4 ~candidates:comp () in
-  Block_dag.build ~h ~dec ~k:4 ~component:comp ~onion
-
 let test_g_zero_anchors_all () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let sel = Flow_plan.min_cut_selection ~dag ~w1:1 ~w2:1 ~g:0 in
   Alcotest.(check int) "everything anchored" 6 sel.Flow_plan.h_score;
   Alcotest.(check int) "all blocks" 3 (List.length sel.Flow_plan.blocks)
 
 let test_g_max_anchors_none () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let gmax = Flow_plan.g_max ~dag ~w1:1 ~w2:1 in
   let sel = Flow_plan.min_cut_selection ~dag ~w1:1 ~w2:1 ~g:gmax in
   Alcotest.(check int) "nothing anchored" 0 sel.Flow_plan.h_score
 
 let test_lemma1_monotone () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let gmax = Flow_plan.g_max ~dag ~w1:1 ~w2:1 in
   let prev = ref max_int in
   for g = 0 to gmax do
@@ -34,7 +25,7 @@ let test_lemma1_monotone () =
   done
 
 let test_sweep_distinct_and_sorted () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let sels = Flow_plan.sweep ~dag ~w1:1 ~w2:1 ~probes:10 () in
   Alcotest.(check bool) "at least two plans" true (List.length sels >= 2);
   let rec check_sorted = function
@@ -49,7 +40,7 @@ let test_sweep_distinct_and_sorted () =
     (List.length (List.sort_uniq compare sigs))
 
 let test_sweep_includes_leaf_drop_variant () =
-  let dag = build_fig1_dag () in
+  let dag = Helpers.fig1_dag () in
   let sels = Flow_plan.sweep ~dag ~w1:1 ~w2:1 ~probes:10 () in
   (* the h=4 "anchor all but one leaf" plan of Fig. 1(c) must appear *)
   Alcotest.(check bool) "h=4 variant present" true
@@ -169,53 +160,6 @@ let prop_parametric_sweep_matches_rebuild =
           with_domains domains @@ fun () -> sweep_all `Parametric = sweep_all `Rebuild)
         [ 1; 4 ])
 
-(* Speculative probes: with a multi-domain pool and the sweep on the main
-   domain, each bisection round prefetches its would-be child probes on
-   cloned engines.  The committed probe sequence is untouched, so the
-   selections must be bit-identical to the 1-domain sweep at every pool
-   size — including the odd counts, where the look-ahead set doesn't divide
-   evenly across workers. *)
-let test_speculative_sweep_identical () =
-  let dag = build_fig1_dag () in
-  let fingerprints d =
-    with_domains d @@ fun () ->
-    List.concat_map
-      (fun (w1, w2) ->
-        List.map selection_fingerprint (Flow_plan.sweep ~dag ~w1 ~w2 ~probes:10 ()))
-      [ (1, 1); (1, 10) ]
-  in
-  let seq = fingerprints 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "selections identical at %d domains" d)
-        true
-        (fingerprints d = seq))
-    [ 2; 3; 4; 5 ]
-
-(* ... and the speculation must actually happen: look-ahead solves launched
-   on clones, committed probes answered from the prefetch cache. *)
-let test_speculative_sweep_counters () =
-  let dag = build_fig1_dag () in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-  @@ fun () ->
-  with_domains 4 @@ fun () ->
-  ignore (Flow_plan.sweep ~dag ~w1:1 ~w2:10 ~probes:10 ());
-  let v name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
-  Alcotest.(check bool)
-    (Printf.sprintf "speculative solves launched (got %d)" (v "flow_plan.spec_probes"))
-    true
-    (v "flow_plan.spec_probes" > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "probes served from the prefetch cache (got %d)"
-       (v "flow_plan.spec_hits"))
-    true
-    (v "flow_plan.spec_hits" > 0)
-
 let suite =
   [
     Alcotest.test_case "g=0 anchors all" `Quick test_g_zero_anchors_all;
@@ -227,8 +171,4 @@ let suite =
     Helpers.qtest prop_lemma1_random;
     Helpers.qtest prop_h_score_consistent;
     Helpers.qtest prop_parametric_sweep_matches_rebuild;
-    Alcotest.test_case "speculative sweep identical (1 vs 2/3/4/5 domains)" `Quick
-      test_speculative_sweep_identical;
-    Alcotest.test_case "speculative sweep counters" `Quick
-      test_speculative_sweep_counters;
   ]

@@ -1,8 +1,9 @@
-(* Par: the deterministic fork/join pool — chunk tiling, result ordering,
-   exception propagation, nested-region fallback — plus the contracts the
-   parallel kernels rely on: bit-identical support/trussness/onion/PCFR
-   results at any domain count, exact Obs counters under a 4-domain hammer,
-   and the disabled-Obs path staying allocation-free with the pool live. *)
+(* Par: the deterministic fork/join pool — result ordering, exception
+   propagation, nested-region fallback — plus the contracts its callers
+   rely on: bit-identical support/trussness/onion/PCFR results at any
+   domain count, the peels equal to the hashtable oracles on a fixture with
+   thousand-edge rounds, exact Obs counters under a 4-domain hammer, and
+   the disabled-Obs path staying allocation-free with the pool live. *)
 
 open Graphcore
 
@@ -12,34 +13,6 @@ let with_domains n f =
   let saved = Par.domains () in
   Par.set_domains n;
   Fun.protect ~finally:(fun () -> Par.set_domains saved) f
-
-(* --- chunking --- *)
-
-let tiles_exactly ~chunks ~n =
-  let bounds = Par.chunk_bounds ~chunks ~n in
-  let ok = ref true in
-  let expect_lo = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if lo <> !expect_lo || hi <= lo then ok := false;
-      expect_lo := hi)
-    bounds;
-  !ok && (if n <= 0 then Array.length bounds = 0 else !expect_lo = n)
-  && Array.length bounds <= max 1 chunks
-
-let test_chunk_bounds () =
-  Alcotest.(check bool) "3 chunks of 10" true (tiles_exactly ~chunks:3 ~n:10);
-  Alcotest.(check bool) "more chunks than items" true (tiles_exactly ~chunks:8 ~n:3);
-  Alcotest.(check int) "empty range" 0 (Array.length (Par.chunk_bounds ~chunks:4 ~n:0));
-  Alcotest.(check int) "negative n" 0 (Array.length (Par.chunk_bounds ~chunks:4 ~n:(-3)));
-  Alcotest.(check (array (pair int int)))
-    "single chunk" [| (0, 7) |]
-    (Par.chunk_bounds ~chunks:1 ~n:7)
-
-let prop_chunk_bounds_tile =
-  QCheck2.Test.make ~name:"chunk_bounds tiles [0, n) in order" ~count:200
-    QCheck2.Gen.(pair (int_range 1 16) (int_range 0 200))
-    (fun (chunks, n) -> tiles_exactly ~chunks ~n)
 
 (* --- fork/join semantics --- *)
 
@@ -59,18 +32,6 @@ let test_parallel_map_order () =
     (Par.parallel_map (fun x -> x * x) xs);
   let l = List.init 11 string_of_int in
   Alcotest.(check (list string)) "map_list preserves order" l (Par.map_list Fun.id l)
-
-let test_parallel_for () =
-  with_domains 4 @@ fun () ->
-  let n = 10_000 in
-  let out = Array.make n 0 in
-  Par.parallel_for ~n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- 2 * i
-      done);
-  let ok = ref true in
-  Array.iteri (fun i v -> if v <> 2 * i then ok := false) out;
-  Alcotest.(check bool) "every index written by its chunk" true !ok
 
 exception Boom of int
 
@@ -100,78 +61,6 @@ let test_nested_region_falls_back () =
     "nested results correct"
     (Array.init 6 (fun i -> (50 * i) + 10))
     results
-
-(* --- work stealing and grain-chunked ranges --- *)
-
-let test_steal_tasks_order () =
-  with_domains 4 @@ fun () ->
-  let fs = Array.init 37 (fun i () -> (i * 3) + 1) in
-  Alcotest.(check (array int))
-    "results land at their task index"
-    (Array.init 37 (fun i -> (i * 3) + 1))
-    (Par.steal_tasks fs)
-
-let test_steal_tasks_skewed () =
-  with_domains 3 @@ fun () ->
-  (* one task dwarfs the rest — the shape stealing exists for; every
-     result must still land at its own index *)
-  let work n =
-    let acc = ref 0 in
-    for i = 1 to n do
-      acc := !acc + (i mod 7)
-    done;
-    !acc
-  in
-  let costs = Array.init 24 (fun i -> if i = 1 then 2_000_000 else 1_000) in
-  Alcotest.(check (array int))
-    "skewed results correct" (Array.map work costs)
-    (Par.steal_tasks (Array.map (fun c () -> work c) costs))
-
-let test_steal_tasks_exception () =
-  with_domains 4 @@ fun () ->
-  (match Par.steal_tasks (Array.init 9 (fun i () -> if i >= 4 then raise (Boom i) else i)) with
-  | _ -> Alcotest.fail "expected Boom to propagate"
-  | exception Boom i -> Alcotest.(check int) "lowest-indexed task's exception wins" 4 i);
-  Alcotest.(check (array int)) "pool usable after exception" [| 5; 6 |]
-    (Par.steal_tasks [| (fun () -> 5); (fun () -> 6) |])
-
-let test_steal_nested_falls_back () =
-  with_domains 4 @@ fun () ->
-  let results =
-    Par.steal_tasks
-      (Array.init 6 (fun i () ->
-           Array.fold_left ( + ) 0 (Par.steal_tasks (Array.init 5 (fun j () -> (10 * i) + j)))))
-  in
-  Alcotest.(check (array int))
-    "nested results correct"
-    (Array.init 6 (fun i -> (50 * i) + 10))
-    results
-
-let test_map_range () =
-  with_domains 4 @@ fun () ->
-  let n = 100_000 in
-  let out = Array.make n 0 in
-  let chunks =
-    Par.map_range ~grain:1000 ~n (fun lo hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- 3 * i
-        done;
-        (lo, hi))
-  in
-  let ok = ref true in
-  Array.iteri (fun i v -> if v <> 3 * i then ok := false) out;
-  Alcotest.(check bool) "every index written by its chunk" true !ok;
-  (* per-chunk results arrive in chunk order and tile [0, n) *)
-  let covered = ref 0 in
-  Array.iter
-    (fun (lo, hi) ->
-      if lo <> !covered || hi <= lo then ok := false;
-      covered := hi)
-    chunks;
-  Alcotest.(check bool) "chunk results tile in order" true (!ok && !covered = n);
-  Alcotest.(check bool) "range actually split" true (Array.length chunks > 1);
-  Alcotest.(check int) "inline below the grain" 1
-    (Array.length (Par.map_range ~grain:4096 ~n:100 (fun lo hi -> hi - lo)))
 
 let test_domains_auto () =
   let saved = Par.domains () in
@@ -216,25 +105,53 @@ let prop_kernel_agreement =
           (with_domains d @@ fun () -> kernel_fingerprint (Graph.of_edges edges)) = seq)
         [ 3; 4; 5 ])
 
-(* Large enough to cross the kernels' sequential cutoff (m >= 4096), so the
-   4-domain run genuinely forks. *)
+(* Large enough to cross the support scatter's sequential cutoff
+   (m >= 4096), so the 4-domain run genuinely forks. *)
+let big_graph () =
+  let rng = Rng.create 77 in
+  Gen.powerlaw_cluster ~rng ~n:1500 ~m:4 ~p:0.4
+
 let test_big_graph_agreement () =
-  let build () =
-    let rng = Rng.create 77 in
-    Gen.powerlaw_cluster ~rng ~n:1500 ~m:4 ~p:0.4
-  in
-  let g = build () in
+  let g = big_graph () in
   Alcotest.(check bool) "fixture crosses the parallel cutoff" true
     (Graph.num_edges g > 4096);
-  let seq = with_domains 1 @@ fun () -> kernel_fingerprint (build ()) in
-  let par = with_domains 4 @@ fun () -> kernel_fingerprint (build ()) in
+  let seq = with_domains 1 @@ fun () -> kernel_fingerprint (big_graph ()) in
+  let par = with_domains 4 @@ fun () -> kernel_fingerprint (big_graph ()) in
   Alcotest.(check bool) "fingerprints identical" true (seq = par)
 
+(* The peels against the hashtable oracles of Ref_truss, on a graph whose
+   first onion round removes thousands of edges at once — far beyond the
+   small graphs of the CSR agreement tests. *)
+let test_big_graph_decompose_oracle () =
+  let g = big_graph () in
+  let reference, reference_kmax = Ref_truss.decompose g in
+  let dec = Truss.Decompose.run g in
+  Alcotest.(check int) "kmax" reference_kmax (Truss.Decompose.kmax dec);
+  let tau = Hashtbl.create (Graph.num_edges g) in
+  Truss.Decompose.iter dec (Hashtbl.replace tau);
+  Alcotest.(check (list (pair int int)))
+    "trussness" (sorted_bindings reference) (sorted_bindings tau)
+
+let test_big_graph_onion_oracle () =
+  let g = big_graph () in
+  let candidates = Array.to_list (Graph.edge_array g) in
+  let onion = Truss.Onion.peel ~h:g ~k:4 ~candidates () in
+  let oracle = Ref_truss.onion_peel ~h:(Graph.copy g) ~k:4 ~candidates in
+  let first_round =
+    Hashtbl.fold (fun _ l n -> if l = 1 then n + 1 else n) onion.Truss.Onion.layer 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "first round removes over 1,024 edges (got %d)" first_round)
+    true (first_round > 1024);
+  Alcotest.(check int) "rounds" oracle.Truss.Onion.rounds onion.Truss.Onion.rounds;
+  Alcotest.(check int) "max_layer" oracle.Truss.Onion.max_layer onion.Truss.Onion.max_layer;
+  Alcotest.(check (list (pair int int)))
+    "layers" (sorted_bindings oracle.Truss.Onion.layer) (sorted_bindings onion.Truss.Onion.layer)
+
 (* Skewed fixture: heavier per-node attachment and stronger clustering than
-   the big-graph fixture, so peel frontiers concentrate into a few fat
-   rounds with uneven triangle counts per edge — the tail the work-stealing
-   deques exist for.  Odd domain counts make chunk boundaries land
-   differently from the power-of-two runs above. *)
+   the big-graph fixture, so the support scatter's degree-balanced vertex
+   ranges carry uneven triangle counts.  Odd domain counts make the range
+   boundaries land differently from the 4-domain run above. *)
 let test_skewed_graph_agreement () =
   let build () =
     let rng = Rng.create 99 in
@@ -252,10 +169,11 @@ let test_skewed_graph_agreement () =
         true (par = seq))
     [ 3; 5 ]
 
-(* The decompose above must actually run on the pool: par.tasks counts
-   forked regions, so a zero here means the parallel path silently fell
-   back to sequential and the agreement tests prove nothing. *)
-let test_peel_runs_on_pool () =
+(* Support counting is the part of decompose that runs on the pool:
+   par.tasks counts forked regions, so a zero here means the scatter
+   silently fell back to sequential and the agreement tests above compare
+   the sequential code with itself. *)
+let test_support_count_runs_on_pool () =
   Obs.reset ();
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () ->
@@ -344,30 +262,60 @@ let test_disabled_alloc_free_with_pool () =
     (delta < 10_000.);
   Alcotest.(check int) "counter never moved" 0 (Obs.Counter.value c)
 
+(* Counters measure the work, not the pool: a traced sweep on the main
+   domain and a traced PCFR run (whose per-component phases fan out over
+   the pool) leave the same counter totals at 1 and 4 domains.  Only the
+   pool's own [par.*] bookkeeping may differ. *)
+let test_counters_independent_of_pool () =
+  let counters_at d f =
+    with_domains d @@ fun () ->
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+    @@ fun () ->
+    f ();
+    List.filter (fun (name, _) -> not (String.starts_with ~prefix:"par." name)) (Obs.counters ())
+  in
+  let dag = Helpers.fig1_dag () in
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": counters at 1 vs 4 domains")
+        (counters_at 1 f) (counters_at 4 f))
+    [
+      ( "Flow_plan.sweep",
+        fun () -> ignore (Maxtruss.Flow_plan.sweep ~dag ~w1:1 ~w2:10 ~probes:10 ()) );
+      ("Pcfr.pcfr", fun () -> ignore (Maxtruss.Pcfr.pcfr ~seed:1 ~g ~k:6 ~budget:30 ()));
+    ]
+
 let suite =
   [
-    Alcotest.test_case "chunk_bounds" `Quick test_chunk_bounds;
-    Helpers.qtest prop_chunk_bounds_tile;
+    (* fork/join semantics *)
     Alcotest.test_case "tasks result order" `Quick test_tasks_order;
     Alcotest.test_case "parallel_map/map_list order" `Quick test_parallel_map_order;
-    Alcotest.test_case "parallel_for covers the range" `Quick test_parallel_for;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "nested regions fall back" `Quick test_nested_region_falls_back;
-    Alcotest.test_case "steal_tasks result order" `Quick test_steal_tasks_order;
-    Alcotest.test_case "steal_tasks skewed costs" `Quick test_steal_tasks_skewed;
-    Alcotest.test_case "steal_tasks exception propagation" `Quick
-      test_steal_tasks_exception;
-    Alcotest.test_case "nested steal_tasks fall back" `Quick test_steal_nested_falls_back;
-    Alcotest.test_case "map_range tiles and orders chunks" `Quick test_map_range;
-    Alcotest.test_case "set_domains 0 auto-sizes" `Quick test_domains_auto;
-    Helpers.qtest prop_kernel_agreement;
-    Alcotest.test_case "big-graph agreement (1 vs 4 domains)" `Quick
-      test_big_graph_agreement;
-    Alcotest.test_case "skewed-graph agreement (1 vs 3/5 domains)" `Quick
-      test_skewed_graph_agreement;
-    Alcotest.test_case "parallel peel forks the pool" `Quick test_peel_runs_on_pool;
-    Helpers.qtest prop_pcfr_agreement;
+    (* Obs under domains *)
     Alcotest.test_case "4-domain counter hammer" `Quick test_counter_hammer;
     Alcotest.test_case "disabled obs allocation-free with pool live" `Quick
       test_disabled_alloc_free_with_pool;
+    Alcotest.test_case "counters independent of pool size" `Quick
+      test_counters_independent_of_pool;
+    (* the kernels: pool use and oracles *)
+    Alcotest.test_case "decompose's support counting forks the pool" `Quick
+      test_support_count_runs_on_pool;
+    Alcotest.test_case "big-graph decompose equals the oracle" `Quick
+      test_big_graph_decompose_oracle;
+    Alcotest.test_case "big-graph onion equals the oracle" `Quick test_big_graph_onion_oracle;
+    (* pool sizing and agreement across sizes *)
+    Helpers.qtest prop_kernel_agreement;
+    Helpers.qtest prop_pcfr_agreement;
+    Alcotest.test_case "set_domains 0 auto-sizes" `Quick test_domains_auto;
+    Alcotest.test_case "skewed-graph agreement (1 vs 3/5 domains)" `Quick
+      test_skewed_graph_agreement;
+    Alcotest.test_case "big-graph agreement (1 vs 4 domains)" `Quick
+      test_big_graph_agreement;
   ]
