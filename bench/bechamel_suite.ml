@@ -188,6 +188,35 @@ let test_csr_onion =
            (* the peel never mutates h, so no defensive copy *)
            ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
 
+(* Scoring fixture: the five largest (k-1)-class components of the kernel
+   dataset at its default k, each with its local scoring context and the
+   plan that fully converts it. *)
+let kernel_score_plans =
+  lazy
+    (let g = Lazy.force kernel_graph in
+     let kd = (Datasets.Registry.find kernel_dataset).Datasets.Registry.default_k in
+     let dec = Truss.Decompose.run g in
+     let comps =
+       Truss.Connectivity.components ~g ~dec ~lo:(kd - 1) ~hi:kd
+       |> List.stable_sort (fun a b -> Int.compare (List.length b) (List.length a))
+       |> List.filteri (fun i _ -> i < 5)
+     in
+     let ctx = Maxtruss.Score.make_ctx g ~k:kd in
+     List.map
+       (fun comp ->
+         ( Maxtruss.Score.local_ctx ctx ~component:comp,
+           (Maxtruss.Convert.convert ~ctx ~target:comp ()).Maxtruss.Convert.plan ))
+       comps)
+
+(* PCFR's inner scoring loop: each full-conversion plan scored on its
+   component's frame (the frames are built once, outside the timed region). *)
+let test_score_local =
+  Test.make ~name:(kname "score_local")
+    (Staged.stage (fun () ->
+         List.iter
+           (fun (lctx, plan) -> ignore (Maxtruss.Score.score lctx plan))
+           (Lazy.force kernel_score_plans)))
+
 (* Parametric g-sweep vs the per-probe rebuild baseline on the fixture DAG.
    Same probes/weights as PCFR's default sweep; the two engines are
    bit-identical in output, so this pair is a pure engine-cost comparison
@@ -308,6 +337,7 @@ let benchmark ?(quota_s = 1.0) () =
       test_csr_support;
       test_csr_decompose;
       test_csr_onion;
+      test_score_local;
       test_flow_sweep_warm;
       test_flow_sweep_rebuild;
       test_dinic_csr;

@@ -29,8 +29,9 @@ let sort_range arr lo hi =
     Array.blit tmp 0 arr lo len
   end
 
-(* First index in [lo, hi) of the sorted run with value >= x. *)
-let lower_bound arr x lo hi =
+(* First index in [lo, hi) of the sorted run with value >= x.  The int
+   annotation keeps the comparison inline instead of a polymorphic call. *)
+let lower_bound (arr : int array) (x : int) lo hi =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -40,26 +41,12 @@ let lower_bound arr x lo hi =
 
 let c_snapshots = Obs.Counter.make "csr.snapshots_built"
 
-let of_graph g =
-  let sp = Obs.Span.enter "csr.of_graph" in
+(* Edge numbering and the lazy orientation, shared by every constructor:
+   [row_ptr]/[col_idx] hold [n] adjacency rows, each sorted ascending. *)
+let assemble ~n ~nodes ~row_ptr ~col_idx =
   Obs.Counter.incr c_snapshots;
-  let n = Graph.max_node_id g + 1 in
-  let m = Graph.num_edges g in
-  let deg = Array.make (max n 1) 0 in
-  Graph.iter_nodes g (fun u -> deg.(u) <- Graph.degree g u);
-  let row_ptr = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row_ptr.(u + 1) <- row_ptr.(u) + deg.(u)
-  done;
-  let col_idx = Array.make (max (2 * m) 1) 0 in
-  let cursor = Array.copy row_ptr in
-  Graph.iter_nodes g (fun u ->
-      Graph.iter_neighbors g u (fun v ->
-          col_idx.(cursor.(u)) <- v;
-          cursor.(u) <- cursor.(u) + 1));
-  for u = 0 to n - 1 do
-    sort_range col_idx row_ptr.(u) row_ptr.(u + 1)
-  done;
+  let m = row_ptr.(n) / 2 in
+  let deg u = row_ptr.(u + 1) - row_ptr.(u) in
   (* Edge ids: lexicographic (u, v) with u < v.  [mid] splits each row into
      the lower (v < u) and upper (v > u) halves; ids number the upper
      entries in row-major order. *)
@@ -91,8 +78,7 @@ let of_graph g =
     lazy
       (let node_of_rank = Array.init (max n 1) (fun i -> i) in
        Array.sort
-         (fun a b ->
-           match Int.compare deg.(a) deg.(b) with 0 -> Int.compare a b | c -> c)
+         (fun a b -> match Int.compare (deg a) (deg b) with 0 -> Int.compare a b | c -> c)
          node_of_rank;
        let rank = Array.make (max n 1) 0 in
        for r = 0 to n - 1 do
@@ -122,9 +108,41 @@ let of_graph g =
        done;
        { node_of_rank; fwd_ptr; fwd_rank; fwd_eid })
   in
-  let t = { n; m; nodes = Graph.num_nodes g; row_ptr; col_idx; eid; up_ptr; mid; esrc; orient } in
-  Obs.Span.exit sp;
-  t
+  { n; m; nodes; row_ptr; col_idx; eid; up_ptr; mid; esrc; orient }
+
+(* Rows [0, n) of [g] under the node renaming [name], each sorted. *)
+let rows_of_graph g ~n ~graph_node ~name =
+  let row_ptr = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    row_ptr.(u + 1) <- row_ptr.(u) + Graph.degree g (graph_node u)
+  done;
+  let col_idx = Array.make (max row_ptr.(n) 1) 0 in
+  for u = 0 to n - 1 do
+    let cursor = ref row_ptr.(u) in
+    Graph.iter_neighbors g (graph_node u) (fun v ->
+        col_idx.(!cursor) <- name v;
+        incr cursor);
+    sort_range col_idx row_ptr.(u) row_ptr.(u + 1)
+  done;
+  (row_ptr, col_idx)
+
+let of_graph g =
+  Obs.Span.with_ "csr.of_graph" @@ fun () ->
+  let n = Graph.max_node_id g + 1 in
+  let row_ptr, col_idx = rows_of_graph g ~n ~graph_node:Fun.id ~name:Fun.id in
+  assemble ~n ~nodes:(Graph.num_nodes g) ~row_ptr ~col_idx
+
+let of_graph_dense g =
+  let label = Array.make (Graph.num_nodes g) 0 in
+  let i = ref 0 in
+  Graph.iter_nodes g (fun u ->
+      label.(!i) <- u;
+      incr i);
+  let n = Array.length label in
+  let row_ptr, col_idx =
+    rows_of_graph g ~n ~graph_node:(Array.get label) ~name:(fun v -> lower_bound label v 0 n)
+  in
+  (assemble ~n ~nodes:n ~row_ptr ~col_idx, label)
 
 let num_nodes t = t.nodes
 let num_edges t = t.m
@@ -143,6 +161,50 @@ let find_in_row t u v =
 let entry t u v = if degree t u <= degree t v then find_in_row t u v else find_in_row t v u
 
 let mem_edge t u v = entry t u v >= 0
+
+let add_edges t pairs =
+  Obs.Span.with_ "csr.add_edges" @@ fun () ->
+  let absent =
+    List.filter_map
+      (fun (u, v) ->
+        if u < 0 || v < 0 || u >= Edge_key.max_node || v >= Edge_key.max_node then
+          invalid_arg "Csr.add_edges: node id out of range";
+        if u = v then None else Some (min u v, max u v))
+      pairs
+    |> List.sort_uniq compare
+    |> List.filter (fun (u, v) -> not (mem_edge t u v))
+  in
+  let n = List.fold_left (fun acc (_, v) -> max acc (v + 1)) t.n absent in
+  (* Each absent edge as two directed entries in (row, column) order: the
+     merge below walks them in step with the old rows. *)
+  let directed = List.sort compare (List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) absent) in
+  let row_ptr = Array.make (n + 1) 0 in
+  List.iter (fun (u, _) -> row_ptr.(u + 1) <- row_ptr.(u + 1) + 1) directed;
+  let nodes = ref t.nodes in
+  for u = 0 to n - 1 do
+    let old = if u < t.n then t.row_ptr.(u + 1) - t.row_ptr.(u) else 0 in
+    if old = 0 && row_ptr.(u + 1) > 0 then incr nodes;
+    row_ptr.(u + 1) <- row_ptr.(u) + old + row_ptr.(u + 1)
+  done;
+  let col_idx = Array.make (max row_ptr.(n) 1) 0 in
+  (* Untouched rows (and the untouched stretches of touched ones) move in
+     blits between consecutive new entries. *)
+  let src = ref 0 and dst = ref 0 in
+  let copy_until pos =
+    Array.blit t.col_idx !src col_idx !dst (pos - !src);
+    dst := !dst + (pos - !src);
+    src := pos
+  in
+  let old_len = t.row_ptr.(t.n) in
+  List.iter
+    (fun (u, v) ->
+      copy_until
+        (if u < t.n then lower_bound t.col_idx v t.row_ptr.(u) t.row_ptr.(u + 1) else old_len);
+      col_idx.(!dst) <- v;
+      incr dst)
+    directed;
+  copy_until old_len;
+  (assemble ~n ~nodes:!nodes ~row_ptr ~col_idx, absent)
 
 let edge_id t u v =
   let i = entry t u v in

@@ -32,7 +32,28 @@
 type t
 
 val of_graph : Graph.t -> t
-(** Freeze the current edges of the graph.  O(m log d) build time. *)
+(** Freeze the current edges of the graph.  O(max node id + m log d) build
+    time: the rows are indexed by node id, so the snapshot of a small graph
+    over large ids still pays for every id below its largest. *)
+
+val of_graph_dense : Graph.t -> t * int array
+(** [of_graph_dense g] freezes [g] with its nodes renamed to dense ids
+    [0 .. n-1] in ascending order of their ids in [g], and returns the
+    snapshot with [label], where [label.(i)] is the [g] id of snapshot node
+    [i].  The renaming is monotone, so snapshot edge ids enumerate [g]'s
+    edges in lexicographic order.  Costs O(max node id of [g] + m log d),
+    and the snapshot's arrays are sized to [g]'s node and edge counts. *)
+
+val add_edges : t -> (int * int) list -> t * (int * int) list
+(** [add_edges t pairs] is the snapshot of [t]'s graph with [pairs]
+    inserted, equal to {!of_graph} of that graph, together with the pairs
+    that were absent from [t]: self-loops, duplicates and present edges are
+    dropped, each pair is returned as [(u, v)] with [u < v], in ascending
+    order.  Node ids above {!max_node_id} extend the snapshot.  [t] is not
+    modified: untouched rows are copied in blits, and only the rows of new
+    edges' endpoints are merged, in O(n + m + p log p) for [p] pairs plus
+    the edge numbering {!of_graph} also pays.  Raises [Invalid_argument] on
+    ids outside [\[0, Edge_key.max_node)]. *)
 
 val num_nodes : t -> int
 (** Nodes with degree at least one (same counting as {!Graph.num_nodes}). *)

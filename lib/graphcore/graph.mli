@@ -10,7 +10,9 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Fresh empty graph.  [capacity] pre-sizes the node table. *)
+(** Fresh empty graph.  [capacity] pre-sizes the node table, at O(capacity)
+    cost; without it the table starts at 16 slots and doubles as ids
+    grow. *)
 
 val copy : t -> t
 (** Deep copy: mutating the copy never affects the original. *)
@@ -38,7 +40,9 @@ val max_node_id : t -> int
 (** Largest node id ever touched; [-1] for the empty graph. *)
 
 val iter_nodes : t -> (int -> unit) -> unit
-(** Every node with degree at least one. *)
+(** Every node with degree at least one, in ascending order.  Walks every
+    id up to {!max_node_id}, so it costs O(max node id) however few nodes
+    have edges. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 

@@ -19,18 +19,26 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
       let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
       if comps = [] then ([], false)
       else begin
-        (* Gains are evaluated per component against a local context —
-           triangle-connectivity independence makes that exact — and each
-           local context is maintained incrementally on commit. *)
+        (* Gains are evaluated per component against its local
+           neighborhood — triangle-connectivity independence makes that
+           exact.  Commits grow the neighborhood and its truss, so GTM keeps
+           its own copies of both instead of writing into the (immutable)
+           local contexts. *)
         let ctx0 = Score.make_ctx g ~k in
-        let lctxs = Array.of_list (List.map (fun c -> Score.local_ctx ctx0 ~component:c) comps) in
-        let n_comps = Array.length lctxs in
+        let locals =
+          Array.of_list
+            (List.map
+               (fun c ->
+                 let lctx = Score.local_ctx ctx0 ~component:c in
+                 (Graph.copy lctx.Score.g, Hashtbl.copy lctx.Score.old_truss))
+               comps)
+        in
+        let n_comps = Array.length locals in
         let per_comp = max 20 (max_candidates / n_comps) in
         let gain_of ci key =
-          let lctx = lctxs.(ci) in
+          let lg, truss = locals.(ci) in
           let u, v = Edge_key.endpoints key in
-          Truss.Maintain.k_truss_after_insert ~g:lctx.Score.g
-            ~old_truss:lctx.Score.old_truss ~k ~inserted:[ (u, v) ]
+          Truss.Maintain.k_truss_after_insert ~g:lg ~old_truss:truss ~k ~inserted:[ (u, v) ]
         in
         (* Lazy greedy: gains only shrink slowly as the graph grows, so a
            stale heap refreshed at the top commits the right edge with a
@@ -46,10 +54,9 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
         List.iteri
           (fun ci comp ->
             if not !seed_deadline then begin
-              let lctx = lctxs.(ci) in
+              let lg, _ = locals.(ci) in
               let pool =
-                Candidate.stable_pool ~g:lctx.Score.g ~component:comp ~k
-                  ~max_size:per_comp ~forbidden:g ()
+                Candidate.stable_pool ~g:lg ~component:comp ~k ~max_size:per_comp ~forbidden:g ()
               in
               Array.iter
                 (fun key ->
@@ -58,7 +65,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                     else begin
                       let u, v = Edge_key.endpoints key in
                       let d = gain_of ci key in
-                      let sup = Graph.count_common_neighbors lctx.Score.g u v in
+                      let sup = Graph.count_common_neighbors lg u v in
                       Min_heap.push heap
                         (List.length d.Truss.Maintain.promoted, sup, ci, key)
                     end
@@ -75,7 +82,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
           else
             match Min_heap.pop heap with
             | None -> continue := false
-            | Some (_, _, ci, key) when Graph.mem_edge_key lctxs.(ci).Score.g key -> ()
+            | Some (_, _, ci, key) when Graph.mem_edge_key (fst locals.(ci)) key -> ()
             | Some (_, _, ci, key) ->
               let delta = gain_of ci key in
               let fresh = List.length delta.Truss.Maintain.promoted in
@@ -83,18 +90,16 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                 match Min_heap.peek heap with Some (ng, _, _, _) -> ng | None -> min_int
               in
               if fresh >= next_gain then begin
-                let lctx = lctxs.(ci) in
+                let lg, truss = locals.(ci) in
                 let u, v = Edge_key.endpoints key in
-                ignore (Graph.add_edge lctx.Score.g u v);
-                List.iter
-                  (fun e -> Hashtbl.replace lctx.Score.old_truss e ())
-                  delta.Truss.Maintain.promoted;
+                ignore (Graph.add_edge lg u v);
+                List.iter (fun e -> Hashtbl.replace truss e ()) delta.Truss.Maintain.promoted;
                 chosen := (u, v) :: !chosen;
                 incr n_chosen
               end
               else begin
                 let u, v = Edge_key.endpoints key in
-                let sup = Graph.count_common_neighbors lctxs.(ci).Score.g u v in
+                let sup = Graph.count_common_neighbors (fst locals.(ci)) u v in
                 Min_heap.push heap (fresh, sup, ci, key)
               end
         done;

@@ -100,9 +100,9 @@ let flow_selections ~ctx ~dec ~config ~component =
   in
   (dag, selections)
 
-(* Conversion + scoring of the sweep selections.  [Score.score] inserts and
-   then removes plan edges in [lctx.g], so this stays on the domain that
-   owns the local context (the main domain in {!run}). *)
+(* Conversion + scoring of the sweep selections.  Reads [ctx] and [lctx]
+   and writes neither: conversion works on its own subgraph, and scoring
+   runs on the local context's frozen frame. *)
 let convert_selections ~ctx ~lctx ~budget (dag, selections) =
   List.filter_map
     (fun sel ->
@@ -157,9 +157,10 @@ let run config g =
     | None -> false
   in
   let gw = Obs.Span.with_ "graph.copy" (fun () -> Graph.copy g) in
-  (* The decomposition of [g] itself — the first level's, taken before any
-     insertion — doubles as the verification oracle's baseline. *)
-  let g_dec = ref None in
+  (* The snapshot and decomposition of [g] itself — the first level's,
+     taken before any insertion — double as the verification oracle's
+     baseline. *)
+  let g_snapshot = ref None in
   let levels = ref [] in
   let total_inserted = ref [] in
   let remaining = ref config.budget in
@@ -179,8 +180,9 @@ let run config g =
     end
     else
       Obs.Span.with_ ~args:[ ("h", string_of_int !h) ] "pcfr.level" @@ fun () ->
-      let dec = Truss.Decompose.run gw in
-      if !total_inserted = [] then g_dec := Some dec;
+      let csr = Csr.of_graph gw in
+      let dec = Truss.Decompose.of_csr csr in
+      if !total_inserted = [] then g_snapshot := Some (csr, dec);
       let comps = Truss.Connectivity.components ~g:gw ~dec ~lo:(k - !h) ~hi:k in
       Log.debug (fun m ->
           m "level h=%d: %d components over classes [%d, %d), budget left %d" !h
@@ -194,7 +196,7 @@ let run config g =
         if !h >= config.max_h then continue := false else incr h
       end
       else begin
-        let ctx = Score.ctx_of_dec gw dec ~k in
+        let ctx = Score.ctx_of_dec gw csr dec ~k in
         (* PCFR proper only randomizes on the (k-1)-class; PCR (flow
            disabled) randomizes at every depth. *)
         let level_config =
@@ -205,11 +207,11 @@ let run config g =
            phase 1 (parallel, read-only on [gw]/[dec]) builds each
            component's local scoring context and flow-network scaffolding
            (onion peel, block DAG, min-cut sweeps); phase 2 (main domain,
-           component order) runs the rng-consuming random interpolation —
-           drawing from the stream in exactly the sequential order — then
-           conversion and scoring, which temporarily mutate per-component
-           subgraphs.  The concatenated plans match the single-pass output
-           verbatim. *)
+           component order) runs the random interpolation, then conversion
+           and scoring.  Nothing in phase 2 mutates shared state; it stays
+           sequential only because the interpolation draws from the one rng
+           stream, which must be consumed in component order.  The
+           concatenated plans match the single-pass output verbatim. *)
         let comps_arr = Array.of_list comps in
         let scaffolds =
           Par.parallel_map
@@ -300,7 +302,7 @@ let run config g =
   done;
   let inserted = List.rev !total_inserted in
   let time_s = Unix.gettimeofday () -. start in
-  let score = Score.evaluate_oracle ?dec:!g_dec g ~k ~inserted in
+  let score = Score.evaluate_oracle ?snapshot:!g_snapshot g ~k ~inserted in
   {
     outcome = { Outcome.inserted; score; time_s; timed_out = !timed_out };
     levels = List.rev !levels;

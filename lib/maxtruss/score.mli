@@ -9,42 +9,65 @@
 
 open Graphcore
 
+type frame
+(** A context's scoring graph frozen into a {!Csr} snapshot, with its
+    baseline k-truss marked by edge id. *)
+
 type ctx = {
-  g : Graph.t;  (** the working graph; mutated only transiently *)
+  g : Graph.t;  (** the graph plans are scored against *)
   k : int;
   old_truss : (Edge_key.t, unit) Hashtbl.t;  (** k-truss edge set of [g] *)
+  frame : frame;  (** [g] and [old_truss], frozen *)
 }
+(** A context is immutable after construction: nothing in this library
+    writes to its [g] or [old_truss] while the context is in use, and
+    callers must not either, since [frame] describes them as they were when
+    the context was built.  (PCFR commits a level's insertions into its
+    working graph only after the level's last score.) *)
 
-val ctx_of_dec : Graph.t -> Truss.Decompose.t -> k:int -> ctx
-(** Context whose baseline k-truss is read off [dec], which must be the
-    decomposition of [g] itself.  The context stays valid until [g] is
-    permanently mutated; rebuild it after committing insertions. *)
+val ctx_of_dec : Graph.t -> Csr.t -> Truss.Decompose.t -> k:int -> ctx
+(** [ctx_of_dec g csr dec ~k]: the context over [g] whose baseline k-truss
+    is read off [dec].  [csr] must be the snapshot of [g] and [dec] its
+    decomposition ({!Pcfr.run} builds both for each level); the context
+    keeps [csr] as its frame.  It stays valid until [g] is mutated; build
+    a new one after committing insertions. *)
 
 val make_ctx : Graph.t -> k:int -> ctx
-(** [ctx_of_dec g (Truss.Decompose.run g) ~k]. *)
+(** [ctx_of_dec g csr (Truss.Decompose.of_csr csr) ~k] with
+    [csr = Csr.of_graph g]. *)
 
 val evaluate : ctx -> (int * int) list -> Truss.Maintain.delta
-(** Incremental evaluation of a candidate insertion (graph restored before
-    returning). *)
+(** The k-truss delta of inserting the pairs into [ctx.g]: the
+    region-grow-and-peel of {!Truss.Maintain.k_truss_after_insert_csr} on
+    the context's frame, with the plan's endpoints translated to frame
+    nodes and the promoted edges back to graph ids.  Self-loops, duplicate
+    pairs and pairs already in [ctx.g] are ignored; endpoints outside
+    [ctx.g] are new nodes.  Mutates nothing. *)
 
 val local_ctx : ctx -> component:Edge_key.t list -> ctx
-(** Context restricted to one component's neighborhood [H = T_k ∪ E_c]
-    (see {!Truss.Onion.build_h}).  Scoring a plan against it is exact for
+(** Context restricted to one component's neighborhood: the component's
+    edges plus every edge of [ctx.g] incident to a component node (which
+    includes every backdrop edge {!Truss.Onion.build_h} would add), frozen
+    into a compact frame whose node ids are the subgraph's nodes renamed
+    [0 .. n-1] in ascending order.  Scoring a plan against it is exact for
     promotions inside the component — the only ones a component plan can
     cause, by triangle-connectivity independence — and orders of magnitude
-    cheaper than scoring against the whole graph.  Plans must only insert
-    edges between [H]'s nodes (all plans produced by this library do). *)
+    cheaper than scoring against the whole graph.  Plans may insert edges
+    to nodes outside the neighborhood (conversion recruits clique members
+    from the neighbors' neighbors, and further afield in sparse corners);
+    such nodes join the frame as new nodes for the one evaluation. *)
 
 val score : ctx -> (int * int) list -> int
 (** [List.length (evaluate ctx p).promoted]. *)
 
 val evaluate_oracle :
-  ?dec:Truss.Decompose.t -> Graph.t -> k:int -> inserted:(int * int) list -> int
+  ?snapshot:Csr.t * Truss.Decompose.t -> Graph.t -> k:int -> inserted:(int * int) list -> int
 (** Independent full recomputation — the test oracle for {!evaluate}: a
-    fresh {!Truss.Decompose.run} of a copy of [g] with the insertions,
-    counted against the k-truss of [g].  That baseline is read off [dec]
-    when given (it must be the decomposition of [g] itself, as PCFR's
-    first level computes it) and decomposed from [g] otherwise. *)
+    fresh {!Truss.Decompose.of_csr} of the snapshot of [g] with the
+    insertions merged in ({!Csr.add_edges}), counted against the k-truss of
+    [g].  [snapshot] is [g]'s snapshot together with its decomposition, as
+    PCFR's first level builds them; without it the oracle snapshots and
+    decomposes [g] once.  [g] is never copied or modified. *)
 
 val pairs_of_keys : Edge_key.t list -> (int * int) list
 val keys_of_pairs : (int * int) list -> Edge_key.t list

@@ -101,6 +101,137 @@ let k_truss_after_insert ~g ~old_truss ~k ~inserted =
     finish promoted
   end
 
+(* The same region-grow-and-peel on a frozen snapshot.  The plan's new
+   edges are appended after the snapshot's, with ids [m, m + p), and every
+   piece of state — filter cache, region, supports, removals — is a flat
+   array over those ids. *)
+let k_truss_after_insert_csr ~csr ~old_truss ~k ~inserted =
+  let threshold = k - 2 in
+  let m = Csr.num_edges csr in
+  (* [plan] maps each endpoint of a new edge to its (neighbor, edge id)
+     pairs; [ends] lists the new edges' endpoints, newest first. *)
+  let plan = Hashtbl.create 16 in
+  let plan_nbrs u = Option.value ~default:[] (Hashtbl.find_opt plan u) in
+  let plan_edge u v = Option.value ~default:(-1) (List.assoc_opt v (plan_nbrs u)) in
+  let ends = ref [] and p = ref 0 in
+  List.iter
+    (fun (u, v) ->
+      if u <> v && Csr.edge_id csr u v < 0 && plan_edge u v < 0 then begin
+        let e = m + !p in
+        incr p;
+        Hashtbl.replace plan u ((v, e) :: plan_nbrs u);
+        Hashtbl.replace plan v ((u, e) :: plan_nbrs v);
+        ends := (u, v) :: !ends
+      end)
+    inserted;
+  let old_size = ref 0 in
+  for e = 0 to m - 1 do
+    if old_truss.(e) then incr old_size
+  done;
+  if !p = 0 then { promoted = []; new_size = !old_size }
+  else begin
+    let total = m + !p in
+    let ends = Array.of_list (List.rev !ends) in
+    let endpoints e = if e < m then Csr.edge_endpoints csr e else ends.(e - m) in
+    let in_old e = e < m && old_truss.(e) in
+    (* [f w e_uw e_vw] once per triangle {u, v, w} of the updated graph.
+       A node's snapshot and plan neighbors are disjoint, so the snapshot
+       intersection and the two plan-side probes never meet the same w. *)
+    let iter_common u v f =
+      Csr.iter_common_neighbors_eid csr u v f;
+      List.iter
+        (fun (w, e_uw) ->
+          if w <> v then begin
+            let e_vw = Csr.edge_id csr v w in
+            let e_vw = if e_vw >= 0 then e_vw else plan_edge v w in
+            if e_vw >= 0 then f w e_uw e_vw
+          end)
+        (plan_nbrs u);
+      List.iter
+        (fun (w, e_vw) ->
+          if w <> u then begin
+            let e_uw = Csr.edge_id csr u w in
+            if e_uw >= 0 then f w e_uw e_vw
+          end)
+        (plan_nbrs v)
+    in
+    (* 0 = not yet computed, 1 = passes, 2 = fails *)
+    let filter = Array.make total 0 in
+    let passes e =
+      if filter.(e) = 0 then begin
+        let ok =
+          in_old e
+          ||
+          let u, v = endpoints e in
+          let s = ref 0 in
+          iter_common u v (fun _ _ _ -> incr s);
+          !s >= threshold
+        in
+        filter.(e) <- (if ok then 1 else 2)
+      end;
+      filter.(e) = 1
+    in
+    let region = Array.make total false in
+    let members = ref [] in
+    let queue = Queue.create () in
+    let consider e =
+      if (not region.(e)) && (not (in_old e)) && passes e then begin
+        region.(e) <- true;
+        members := e :: !members;
+        Queue.push e queue
+      end
+    in
+    for e = m to total - 1 do
+      consider e
+    done;
+    while not (Queue.is_empty queue) do
+      let u, v = endpoints (Queue.pop queue) in
+      iter_common u v (fun _ e1 e2 ->
+          if passes e2 then consider e1;
+          if passes e1 then consider e2)
+    done;
+    let sup = Array.make total 0 in
+    let removal = Queue.create () in
+    List.iter
+      (fun e ->
+        let u, v = endpoints e in
+        iter_common u v (fun _ e1 e2 ->
+            if (region.(e1) || in_old e1) && (region.(e2) || in_old e2) then
+              sup.(e) <- sup.(e) + 1);
+        if sup.(e) < threshold then Queue.push e removal)
+      !members;
+    let removed = Array.make total false in
+    let alive e = in_old e || (region.(e) && not removed.(e)) in
+    while not (Queue.is_empty removal) do
+      let e = Queue.pop removal in
+      if not removed.(e) then begin
+        removed.(e) <- true;
+        let u, v = endpoints e in
+        iter_common u v (fun _ e1 e2 ->
+            if alive e1 && alive e2 then begin
+              let decr e' =
+                if region.(e') && not removed.(e') then begin
+                  sup.(e') <- sup.(e') - 1;
+                  if sup.(e') < threshold then Queue.push e' removal
+                end
+              in
+              decr e1;
+              decr e2
+            end)
+      end
+    done;
+    let promoted =
+      List.filter_map
+        (fun e ->
+          if removed.(e) then None
+          else
+            let u, v = endpoints e in
+            Some (Edge_key.make u v))
+        !members
+    in
+    { promoted; new_size = !old_size + List.length promoted }
+  end
+
 type delta_del = { demoted : Edge_key.t list; remaining : int }
 
 let k_truss_after_delete ~g ~old_truss ~k ~deleted =

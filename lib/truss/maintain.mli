@@ -5,10 +5,13 @@
     new truss can be computed exactly by (1) growing a candidate region from
     the inserted edges over triangle adjacency, filtered to edges whose
     support in the updated graph reaches [k - 2], then (2) peeling that
-    region with the old truss as an unpeelable backdrop.  This is the
-    verification primitive the maximization algorithms call in their inner
-    loops; a fixed-k peel of the whole updated graph gives the same answer
-    and is the test oracle. *)
+    region with the old truss as an unpeelable backdrop.  A fixed-k peel of
+    the whole updated graph gives the same answer and is the test oracle.
+
+    Two implementations compute it: {!k_truss_after_insert} on a mutable
+    {!Graph} (used by GTM, which commits into its own graphs, and by the
+    streaming example) and {!k_truss_after_insert_csr} on a frozen {!Csr}
+    snapshot, which is what PCFR's plan scoring runs. *)
 
 open Graphcore
 
@@ -43,6 +46,18 @@ val k_truss_after_insert :
     [g] with the batch applied.  Call sites that share the graph across
     domains — the service layer's epoch snapshots in particular — must use
     {!batch_update_csr}, which never touches the graph. *)
+
+val k_truss_after_insert_csr :
+  csr:Csr.t -> old_truss:bool array -> k:int -> inserted:(int * int) list -> delta
+(** {!k_truss_after_insert} against a frozen snapshot, with the same
+    result: [csr] is the graph without the inserted edges and
+    [old_truss.(e)] says whether snapshot edge [e] is in its k-truss.
+    Self-loops, duplicate pairs and pairs already in [csr] are ignored;
+    endpoints above {!Csr.max_node_id} are new nodes.  Promoted keys are in
+    [csr]'s node ids.  Pure: the plan's edges are numbered after the
+    snapshot's, and the state of the computation lives in arrays over
+    those ids, so neither [csr] nor [old_truss] is touched.  Costs O(m)
+    for the state arrays plus the work of the region. *)
 
 val k_truss_after_delete :
   g:Graph.t ->

@@ -100,7 +100,7 @@ let peel ~h ~k ~candidates () =
       r)
 
 let build_h ~g ~backdrop ~candidates =
-  let h = Graph.create () in
+  let h = Graph.create ~capacity:(Graph.max_node_id g + 1) () in
   let nodes = Hashtbl.create 64 in
   List.iter
     (fun key ->

@@ -40,4 +40,6 @@ val build_h :
     at least one endpoint among the candidate nodes — a safe local
     restriction of [T_k ∪ E_c]: any triangle through a candidate edge
     [(u,v)] uses two edges incident to [u] and [v], so candidate supports in
-    this subgraph equal those in the full [T_k ∪ E_c]. *)
+    this subgraph equal those in the full [T_k ∪ E_c].  The result's node
+    table is sized to [g]'s largest id up front; the walk covers the whole
+    backdrop, so a call costs O(|backdrop| + max node id of [g]). *)

@@ -188,6 +188,95 @@ let test_csr_peel_preserves_h () =
   ignore (Truss.Onion.peel ~h ~k ~candidates:!cands ());
   Alcotest.(check int) "CSR peel leaves h untouched" before (Graph.num_edges h)
 
+(* --- merged and dense snapshots ---------------------------------------- *)
+
+(* Every observable of two snapshots agrees: the counts, each edge id's
+   endpoints, each row with its edge ids, and the triangle count. *)
+let same_csr a b =
+  let row csr u =
+    let acc = ref [] in
+    Csr.iter_neighbors_eid csr u (fun v e -> acc := (v, e) :: !acc);
+    !acc
+  in
+  Csr.num_nodes a = Csr.num_nodes b
+  && Csr.num_edges a = Csr.num_edges b
+  && Csr.max_node_id a = Csr.max_node_id b
+  && List.for_all
+       (fun e -> Csr.edge_endpoints a e = Csr.edge_endpoints b e)
+       (List.init (Csr.num_edges a) Fun.id)
+  && List.for_all (fun u -> row a u = row b u) (List.init (Csr.max_node_id a + 1) Fun.id)
+  && Csr.triangle_count a = Csr.triangle_count b
+
+(* [pairs] inserted into [g] (mutated) through the graph; returns the
+   absent pairs the way Csr.add_edges reports them. *)
+let insert_absent g pairs =
+  List.filter_map
+    (fun (u, v) -> if u <> v && Graph.add_edge g u v then Some (min u v, max u v) else None)
+    pairs
+  |> List.sort compare
+
+let prop_add_edges_equals_rebuild =
+  QCheck2.Test.make ~name:"add_edges equals a snapshot of the grown graph" ~count:200
+    QCheck2.Gen.(
+      pair (Helpers.random_graph_gen ())
+        (list_size (int_range 0 8) (pair (int_range 0 20) (int_range 0 20))))
+    (fun (edges, extra) ->
+      let g = Graph.of_edges edges in
+      (* a duplicate, a present pair (reversed) and a self-loop on top of the
+         random pairs, whose ids run past the graph's largest node *)
+      let pairs =
+        extra
+        @ (match extra with p :: _ -> [ p ] | [] -> [])
+        @ (match edges with (u, v) :: _ -> [ (v, u) ] | [] -> [])
+        @ [ (4, 4) ]
+      in
+      let merged, absent = Csr.add_edges (Csr.of_graph g) pairs in
+      let expected_absent = insert_absent g pairs in
+      absent = expected_absent && same_csr (Csr.of_graph g) merged)
+
+let test_add_edges_cases () =
+  let g = Helpers.fig1 () in
+  let csr = Csr.of_graph g in
+  let merged, absent = Csr.add_edges csr [] in
+  Alcotest.(check (list (pair int int))) "empty list: nothing absent" [] absent;
+  Alcotest.(check bool) "empty list: same snapshot" true (same_csr csr merged);
+  let pairs = [ (3, 40); (41, 40); (2, 7); (7, 2); (0, 1); (9, 9) ] in
+  let merged, absent = Csr.add_edges csr pairs in
+  Alcotest.(check (list (pair int int))) "absent pairs" [ (2, 7); (3, 40); (40, 41) ] absent;
+  Alcotest.(check int) "snapshot grows to the new ids" 41 (Csr.max_node_id merged);
+  Alcotest.(check (list (pair int int))) "graph agrees" absent (insert_absent g pairs);
+  Alcotest.(check bool) "new ids: equals a rebuild" true (same_csr (Csr.of_graph g) merged);
+  let empty = Graph.create () in
+  let merged, _ = Csr.add_edges (Csr.of_graph empty) [ (5, 2) ] in
+  ignore (Graph.add_edge empty 2 5);
+  Alcotest.(check bool) "from the empty snapshot" true (same_csr (Csr.of_graph empty) merged);
+  Alcotest.check_raises "negative id" (Invalid_argument "Csr.add_edges: node id out of range")
+    (fun () -> ignore (Csr.add_edges csr [ (-1, 3) ]))
+
+let test_dense_snapshot () =
+  iter_cases (fun fam seed g ->
+      (* spread the ids out so the renaming is not the identity *)
+      let spread = Graph.create () in
+      Graph.iter_edges g (fun u v -> ignore (Graph.add_edge spread (7 * u + 100) (7 * v + 100)));
+      let csr, label = Csr.of_graph_dense spread in
+      let name what = Printf.sprintf "%s/%d %s" fam seed what in
+      let nodes = ref [] in
+      Graph.iter_nodes spread (fun u -> nodes := u :: !nodes);
+      Alcotest.(check (list int)) (name "labels are the ascending nodes") (List.rev !nodes)
+        (Array.to_list label);
+      Alcotest.(check int) (name "dense ids") (Array.length label - 1) (Csr.max_node_id csr);
+      (* edge ids enumerate the graph's edges in lexicographic order *)
+      let edges =
+        List.init (Csr.num_edges csr) (fun e ->
+            let a, b = Csr.edge_endpoints csr e in
+            (label.(a), label.(b)))
+      in
+      Alcotest.(check (list (pair int int))) (name "edges in lexicographic order")
+        (List.sort compare (List.map Edge_key.endpoints (Graph.edges spread)))
+        edges;
+      Alcotest.(check int) (name "triangles") (Csr.triangle_count (Csr.of_graph g))
+        (Csr.triangle_count csr))
+
 let suite =
   [
     Alcotest.test_case "structure" `Quick test_structure;
@@ -201,4 +290,7 @@ let suite =
     Alcotest.test_case "decompose agreement" `Quick test_decompose_agreement;
     Alcotest.test_case "onion agreement" `Quick test_onion_agreement;
     Alcotest.test_case "CSR peel immutability" `Quick test_csr_peel_preserves_h;
+    Helpers.qtest prop_add_edges_equals_rebuild;
+    Alcotest.test_case "add_edges: empty list, new ids, empty base" `Quick test_add_edges_cases;
+    Alcotest.test_case "dense snapshot" `Quick test_dense_snapshot;
   ]

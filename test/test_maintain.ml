@@ -75,7 +75,15 @@ let prop_matches_oracle =
           in
           if List.sort compare delta.Truss.Maintain.promoted <> expected_promoted then
             ok := false;
-          if delta.Truss.Maintain.new_size <> Hashtbl.length full then ok := false)
+          if delta.Truss.Maintain.new_size <> Hashtbl.length full then ok := false;
+          (* the snapshot kernel, on the same inputs *)
+          let csr = Csr.of_graph g in
+          let in_truss =
+            Array.init (Csr.num_edges csr) (fun e -> Hashtbl.mem old_truss (Csr.edge_key csr e))
+          in
+          let d = Truss.Maintain.k_truss_after_insert_csr ~csr ~old_truss:in_truss ~k ~inserted in
+          if List.sort compare d.Truss.Maintain.promoted <> expected_promoted then ok := false;
+          if d.Truss.Maintain.new_size <> Hashtbl.length full then ok := false)
         [ 3; 4; 5 ];
       !ok)
 

@@ -307,7 +307,8 @@ let test_metrics_contract () =
 (* Every PCFR phase has its own span, so none shows up as pcfr.level's or
    pcfr.run's unattributed self time: one ctx build and one component pass
    per level, one local scoring context per component (fig1 has two
-   3-class components), one copy and one oracle per run. *)
+   3-class components), one copy and one oracle per run, the oracle
+   merging the plan into the level-1 snapshot. *)
 let test_pcfr_phase_spans () =
   with_obs @@ fun () ->
   let g = Helpers.fig1 () in
@@ -322,6 +323,7 @@ let test_pcfr_phase_spans () =
       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/score.ctx", 1);
       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/pcfr.component/score.local_ctx", 2);
       ("pcfr.run(k=4,budget=2)/score.evaluate_oracle", 1);
+      ("pcfr.run(k=4,budget=2)/score.evaluate_oracle/csr.add_edges", 1);
     ]
 
 let boom_line = __LINE__ + 3

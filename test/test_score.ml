@@ -76,6 +76,66 @@ let prop_local_le_global =
             pool)
         comps)
 
+(* A random graph, a random plan whose ids run past the graph's largest
+   node, and k in {3, 4, 5}. *)
+let plan_gen =
+  QCheck2.Gen.(
+    let* edges = Helpers.random_graph_gen () in
+    let* extra = list_size (int_range 0 6) (pair (int_range 0 14) (int_range 0 14)) in
+    let* k = int_range 3 5 in
+    return (edges, extra, k))
+
+(* The random pairs plus every input the scorer must tolerate: a duplicate
+   of the first pair, a pair already in the graph (reversed) and a
+   self-loop. *)
+let awkward_plan edges extra =
+  extra
+  @ (match extra with p :: _ -> [ p ] | [] -> [])
+  @ (match edges with (u, v) :: _ -> [ (v, u) ] | [] -> [])
+  @ [ (2, 2) ]
+
+(* k-truss edges of G ∪ P that are not in T_k(G), by the naive cascade. *)
+let reference_promoted g ~k plan =
+  let g' = Graph.copy g in
+  List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g' u v)) plan;
+  let old = Ref_truss.k_truss_edges g ~k in
+  Hashtbl.fold
+    (fun key () acc -> if Hashtbl.mem old key then acc else key :: acc)
+    (Ref_truss.k_truss_edges g' ~k) []
+  |> List.sort compare
+
+let prop_frames_match_references =
+  QCheck2.Test.make ~name:"frame scores equal both references" ~count:150 plan_gen
+    (fun (edges, extra, k) ->
+      QCheck2.assume (edges <> []);
+      let g = Graph.of_edges edges in
+      let plan = awkward_plan edges extra in
+      let promoted ctx = List.sort compare (Score.evaluate ctx plan).Truss.Maintain.promoted in
+      let ctx = Score.make_ctx g ~k in
+      promoted ctx = reference_promoted g ~k plan
+      && List.for_all
+           (fun component ->
+             (* the hashtable maintainer on a copy of the component's graph *)
+             let lctx = Score.local_ctx ctx ~component in
+             let d =
+               Truss.Maintain.k_truss_after_insert ~g:(Graph.copy lctx.Score.g)
+                 ~old_truss:lctx.Score.old_truss ~k ~inserted:plan
+             in
+             promoted lctx = List.sort compare d.Truss.Maintain.promoted)
+           (Truss.Connectivity.components ~g ~dec:(Truss.Decompose.run g) ~lo:(k - 1) ~hi:k))
+
+let prop_oracle_snapshot_agrees =
+  QCheck2.Test.make ~name:"oracle with and without the level-1 snapshot agree" ~count:100
+    plan_gen
+    (fun (edges, extra, k) ->
+      let g = Graph.of_edges edges in
+      let inserted = awkward_plan edges extra in
+      let csr = Csr.of_graph g in
+      let snapshot = (csr, Truss.Decompose.of_csr csr) in
+      let with_snapshot = Score.evaluate_oracle ~snapshot g ~k ~inserted in
+      with_snapshot = Score.evaluate_oracle g ~k ~inserted
+      && with_snapshot = List.length (reference_promoted g ~k inserted))
+
 let suite =
   [
     Alcotest.test_case "ctx baseline" `Quick test_ctx_baseline;
@@ -86,4 +146,6 @@ let suite =
     Alcotest.test_case "key conversions" `Quick test_key_conversions;
     Helpers.qtest prop_score_matches_oracle;
     Helpers.qtest prop_local_le_global;
+    Helpers.qtest prop_frames_match_references;
+    Helpers.qtest prop_oracle_snapshot_agrees;
   ]
