@@ -217,6 +217,56 @@ let test_score_local =
            (fun (lctx, plan) -> ignore (Maxtruss.Score.score lctx plan))
            (Lazy.force kernel_score_plans)))
 
+(* Maintenance fixture: 20 fixed churn batches against the kernel
+   dataset's snapshot, shaped like the service's `mutate` stream — two
+   random insertions, two wedge closures and three deletions each, every
+   batch normalized as the mutation log would (insertions absent,
+   deletions present, all distinct) and applied to the same base. *)
+let kernel_batches =
+  lazy
+    (let open Graphcore in
+     let g = Lazy.force kernel_graph in
+     let rng = Rng.create 17 in
+     let edges = Graph.edge_array g in
+     let nodes = Array.map (fun key -> fst (Edge_key.endpoints key)) edges in
+     let neighbor u = Rng.pick rng (Array.of_list (Graph.neighbors g u)) in
+     let batch () =
+       let chosen = Hashtbl.create 8 in
+       let take u v =
+         let fresh = u <> v && not (Hashtbl.mem chosen (Edge_key.make u v)) in
+         if fresh then Hashtbl.replace chosen (Edge_key.make u v) ();
+         fresh
+       in
+       let rec insertion ~wedge =
+         let u = Rng.pick rng nodes in
+         let v = if wedge then neighbor (neighbor u) else Rng.pick rng nodes in
+         if (not (Graph.mem_edge g u v)) && take u v then (min u v, max u v)
+         else insertion ~wedge
+       in
+       let rec deletion () =
+         let u, v = Edge_key.endpoints (Rng.pick rng edges) in
+         if take u v then (u, v) else deletion ()
+       in
+       let inserted = List.map (fun wedge -> insertion ~wedge) [ false; false; true; true ] in
+       (inserted, List.init 3 (fun _ -> deletion ()))
+     in
+     let dec = Truss.Decompose.of_csr (Lazy.force kernel_csr) in
+     (dec, List.init 20 (fun _ -> batch ())))
+
+(* The daemon's incremental `mutate` kernel: every fixture batch through
+   the batch maintenance on the shared snapshot. *)
+let test_maintain_batch =
+  Test.make ~name:(kname "maintain_batch")
+    (Staged.stage (fun () ->
+         let dec, batches = Lazy.force kernel_batches in
+         List.iter
+           (fun (inserted, deleted) ->
+             ignore
+               (Truss.Maintain.batch_update_csr ~csr:(Lazy.force kernel_csr)
+                  ~tau:(Truss.Decompose.trussness_opt dec) ~kmax:(Truss.Decompose.kmax dec)
+                  ~inserted ~deleted))
+           batches))
+
 (* Parametric g-sweep vs the per-probe rebuild baseline on the fixture DAG.
    Same probes/weights as PCFR's default sweep; the two engines are
    bit-identical in output, so this pair is a pure engine-cost comparison
@@ -338,6 +388,7 @@ let benchmark ?(quota_s = 1.0) () =
       test_csr_decompose;
       test_csr_onion;
       test_score_local;
+      test_maintain_batch;
       test_flow_sweep_warm;
       test_flow_sweep_rebuild;
       test_dinic_csr;

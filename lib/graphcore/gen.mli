@@ -42,7 +42,7 @@ val with_communities :
   size_max:int ->
   drop:float ->
   Graph.t
-(** Overlay [communities] noisy cliques on random node subsets of [base]
+(** Plant [communities] noisy cliques on random node subsets of [base]
     (mutating and returning [base]).  Community members are drawn from the
     existing node range so communities overlap organically. *)
 

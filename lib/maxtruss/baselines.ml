@@ -11,6 +11,17 @@ let rd ~rng ~g ~k ~budget =
         (Array.to_list chosen |> List.map Edge_key.endpoints, false)
       end)
 
+(* GTM's state for one component: the immutable scoring context, a copy
+   of its neighborhood graph grown by the commits (for the candidate pools,
+   the tie-break supports and the committed check), the committed plan and
+   its score. *)
+type gtm_local = {
+  lctx : Score.ctx;
+  lg : Graph.t;
+  mutable committed : (int * int) list;
+  mutable base : int;
+}
+
 let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
   Outcome.timed ~original:g ~k (fun () ->
       let start = Unix.gettimeofday () in
@@ -21,25 +32,20 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
       else begin
         (* Gains are evaluated per component against its local
            neighborhood — triangle-connectivity independence makes that
-           exact.  Commits grow the neighborhood and its truss, so GTM keeps
-           its own copies of both instead of writing into the (immutable)
-           local contexts. *)
+           exact.  Inserting edges only grows the k-truss, so the gain of a
+           candidate after committing C is score (C ∪ {key}) − score C. *)
         let ctx0 = Score.make_ctx g ~k in
         let locals =
           Array.of_list
             (List.map
                (fun c ->
                  let lctx = Score.local_ctx ctx0 ~component:c in
-                 (Graph.copy lctx.Score.g, Hashtbl.copy lctx.Score.old_truss))
+                 { lctx; lg = Graph.copy lctx.Score.g; committed = []; base = 0 })
                comps)
         in
         let n_comps = Array.length locals in
         let per_comp = max 20 (max_candidates / n_comps) in
-        let gain_of ci key =
-          let lg, truss = locals.(ci) in
-          let u, v = Edge_key.endpoints key in
-          Truss.Maintain.k_truss_after_insert ~g:lg ~old_truss:truss ~k ~inserted:[ (u, v) ]
-        in
+        let gain_of l key = Score.score l.lctx (Edge_key.endpoints key :: l.committed) - l.base in
         (* Lazy greedy: gains only shrink slowly as the graph grows, so a
            stale heap refreshed at the top commits the right edge with a
            handful of re-evaluations per step (the "candidate pruning" role
@@ -54,9 +60,9 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
         List.iteri
           (fun ci comp ->
             if not !seed_deadline then begin
-              let lg, _ = locals.(ci) in
+              let l = locals.(ci) in
               let pool =
-                Candidate.stable_pool ~g:lg ~component:comp ~k ~max_size:per_comp ~forbidden:g ()
+                Candidate.stable_pool ~g:l.lg ~component:comp ~k ~max_size:per_comp ~forbidden:g ()
               in
               Array.iter
                 (fun key ->
@@ -64,10 +70,8 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                     if over_time () then seed_deadline := true
                     else begin
                       let u, v = Edge_key.endpoints key in
-                      let d = gain_of ci key in
-                      let sup = Graph.count_common_neighbors lg u v in
-                      Min_heap.push heap
-                        (List.length d.Truss.Maintain.promoted, sup, ci, key)
+                      let sup = Graph.count_common_neighbors l.lg u v in
+                      Min_heap.push heap (gain_of l key, sup, ci, key)
                     end
                   end)
                 pool
@@ -82,26 +86,22 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
           else
             match Min_heap.pop heap with
             | None -> continue := false
-            | Some (_, _, ci, key) when Graph.mem_edge_key (fst locals.(ci)) key -> ()
+            | Some (_, _, ci, key) when Graph.mem_edge_key locals.(ci).lg key -> ()
             | Some (_, _, ci, key) ->
-              let delta = gain_of ci key in
-              let fresh = List.length delta.Truss.Maintain.promoted in
+              let l = locals.(ci) in
+              let fresh = gain_of l key in
               let next_gain =
                 match Min_heap.peek heap with Some (ng, _, _, _) -> ng | None -> min_int
               in
+              let u, v = Edge_key.endpoints key in
               if fresh >= next_gain then begin
-                let lg, truss = locals.(ci) in
-                let u, v = Edge_key.endpoints key in
-                ignore (Graph.add_edge lg u v);
-                List.iter (fun e -> Hashtbl.replace truss e ()) delta.Truss.Maintain.promoted;
+                ignore (Graph.add_edge l.lg u v);
+                l.committed <- (u, v) :: l.committed;
+                l.base <- l.base + fresh;
                 chosen := (u, v) :: !chosen;
                 incr n_chosen
               end
-              else begin
-                let u, v = Edge_key.endpoints key in
-                let sup = Graph.count_common_neighbors (fst locals.(ci)) u v in
-                Min_heap.push heap (fresh, sup, ci, key)
-              end
+              else Min_heap.push heap (fresh, Graph.count_common_neighbors l.lg u v, ci, key)
         done;
         (List.rev !chosen, !timed_out)
       end)

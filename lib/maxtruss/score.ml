@@ -91,12 +91,7 @@ let local_ctx ctx ~component =
     (fun u () -> Graph.iter_neighbors ctx.g u (fun v -> ignore (Graph.add_edge h u v)))
     nodes;
   let csr, label = Csr.of_graph_dense h in
-  let frame = make_frame csr label ctx.old_truss in
-  let old_local = Hashtbl.create 256 in
-  Array.iteri
-    (fun e in_truss -> if in_truss then Hashtbl.replace old_local (graph_key csr label e) ())
-    frame.in_truss;
-  { g = h; k = ctx.k; old_truss = old_local; frame }
+  { ctx with g = h; frame = make_frame csr label ctx.old_truss }
 
 let score ctx inserted = List.length (evaluate ctx inserted).Truss.Maintain.promoted
 

@@ -16,8 +16,9 @@ type frame
 type ctx = {
   g : Graph.t;  (** the graph plans are scored against *)
   k : int;
-  old_truss : (Edge_key.t, unit) Hashtbl.t;  (** k-truss edge set of [g] *)
-  frame : frame;  (** [g] and [old_truss], frozen *)
+  old_truss : (Edge_key.t, unit) Hashtbl.t;
+      (** k-truss edge set of [g]; a {!local_ctx} keeps its parent's table *)
+  frame : frame;  (** [g] and the [old_truss] edges in it, frozen *)
 }
 (** A context is immutable after construction: nothing in this library
     writes to its [g] or [old_truss] while the context is in use, and
@@ -55,7 +56,10 @@ val local_ctx : ctx -> component:Edge_key.t list -> ctx
     cheaper than scoring against the whole graph.  Plans may insert edges
     to nodes outside the neighborhood (conversion recruits clique members
     from the neighbors' neighbors, and further afield in sparse corners);
-    such nodes join the frame as new nodes for the one evaluation. *)
+    such nodes join the frame as new nodes for the one evaluation.  The
+    local context keeps [ctx.old_truss], T_k of the parent graph, rather
+    than a table of its own; its frame marks the edges of that table that
+    lie in the neighborhood. *)
 
 val score : ctx -> (int * int) list -> int
 (** [List.length (evaluate ctx p).promoted]. *)

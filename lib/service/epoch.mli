@@ -32,8 +32,10 @@ val make :
 
 val graph : t -> Graph.t
 (** The epoch's graph.  {b Read-only:} mutating it corrupts every reader
-    of this epoch; callers that need a mutable graph (e.g. the maximize
-    algorithms' mutate-and-restore internals) must {!Graph.copy} it. *)
+    of this epoch; callers that need a mutable graph must {!Graph.copy}
+    it.  Nothing in the library writes to it; [maximize] requests still
+    run on a copy, because PCFR's component tie order follows the
+    hashtable order of the graph it is handed. *)
 
 val csr : t -> Csr.t
 val decompose : t -> Truss.Decompose.t

@@ -48,11 +48,13 @@ let decompose g =
   drain ();
   (tau, !kmax)
 
-(* The k-truss edge set by a fixed-threshold cascade on a mutable copy. *)
-let k_truss_edges g ~k =
+(* The k-truss edge set by a fixed-threshold cascade on a mutable copy;
+   [backdrop] edges are never peeled. *)
+let k_truss_edges ?(backdrop = Hashtbl.create 1) g ~k =
   let work = Graph.copy g in
   let threshold = k - 2 in
   let sup = support work in
+  Hashtbl.iter (fun key () -> Hashtbl.remove sup key) backdrop;
   let queue = Queue.create () in
   Hashtbl.iter (fun key s -> if s < threshold then Queue.push key queue) sup;
   let removed = Hashtbl.create 64 in

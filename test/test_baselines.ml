@@ -52,6 +52,20 @@ let test_gtm_fig1 () =
   Alcotest.(check bool) "GTM achieves something" true (o.Outcome.score > 0);
   Alcotest.(check bool) "budget respected" true (List.length o.Outcome.inserted <= 4)
 
+(* GTM on gowalla-sample (k = 6, b = 8): the sorted plan and its verified
+   score.  Each greedy step scores a candidate against the component's
+   committed plan, so a change to how commits feed later gains moves this
+   plan. *)
+let test_gtm_golden_sample () =
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  let o = Baselines.gtm ~g ~k:6 ~budget:8 () in
+  let sorted = List.sort compare (List.map (fun (u, v) -> (min u v, max u v)) o.Outcome.inserted) in
+  Alcotest.(check (list (pair int int)))
+    "plan"
+    [ (4, 8); (5, 290); (45, 475); (149, 319); (163, 484); (187, 1074); (300, 384); (370, 1037) ]
+    sorted;
+  Alcotest.(check int) "score" 136 o.Outcome.score
+
 let test_gtm_respects_time_limit () =
   let g = small_social () in
   let t0 = Unix.gettimeofday () in
@@ -80,6 +94,7 @@ let suite =
     Alcotest.test_case "CBTM zero budget" `Quick test_cbtm_zero_budget;
     Alcotest.test_case "CBTM revenues are binary" `Quick test_cbtm_revenues_single_pair;
     Alcotest.test_case "GTM on fig1" `Quick test_gtm_fig1;
+    Alcotest.test_case "GTM golden plan on gowalla-sample" `Quick test_gtm_golden_sample;
     Alcotest.test_case "GTM time limit" `Quick test_gtm_respects_time_limit;
     Alcotest.test_case "ordering on small social" `Slow test_ordering_on_small_social;
   ]

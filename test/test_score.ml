@@ -94,14 +94,15 @@ let awkward_plan edges extra =
   @ (match edges with (u, v) :: _ -> [ (v, u) ] | [] -> [])
   @ [ (2, 2) ]
 
-(* k-truss edges of G ∪ P that are not in T_k(G), by the naive cascade. *)
-let reference_promoted g ~k plan =
+(* k-truss edges of G ∪ P that are not in T_k(G), by the naive cascade;
+   [backdrop] edges are never peeled. *)
+let reference_promoted ?backdrop g ~k plan =
   let g' = Graph.copy g in
   List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g' u v)) plan;
-  let old = Ref_truss.k_truss_edges g ~k in
+  let old = Ref_truss.k_truss_edges ?backdrop g ~k in
   Hashtbl.fold
     (fun key () acc -> if Hashtbl.mem old key then acc else key :: acc)
-    (Ref_truss.k_truss_edges g' ~k) []
+    (Ref_truss.k_truss_edges ?backdrop g' ~k) []
   |> List.sort compare
 
 let prop_frames_match_references =
@@ -115,13 +116,15 @@ let prop_frames_match_references =
       promoted ctx = reference_promoted g ~k plan
       && List.for_all
            (fun component ->
-             (* the hashtable maintainer on a copy of the component's graph *)
+             (* the naive cascade on the component's graph, with the
+                component's share of T_k(G) as backdrop *)
              let lctx = Score.local_ctx ctx ~component in
-             let d =
-               Truss.Maintain.k_truss_after_insert ~g:(Graph.copy lctx.Score.g)
-                 ~old_truss:lctx.Score.old_truss ~k ~inserted:plan
-             in
-             promoted lctx = List.sort compare d.Truss.Maintain.promoted)
+             let backdrop = Hashtbl.create 16 in
+             Hashtbl.iter
+               (fun key () ->
+                 if Graph.mem_edge_key lctx.Score.g key then Hashtbl.replace backdrop key ())
+               ctx.Score.old_truss;
+             promoted lctx = reference_promoted ~backdrop lctx.Score.g ~k plan)
            (Truss.Connectivity.components ~g ~dec:(Truss.Decompose.run g) ~lo:(k - 1) ~hi:k))
 
 let prop_oracle_snapshot_agrees =

@@ -140,7 +140,8 @@ let prop_apply_counts_net_changes =
 
 let test_normalization_cancels () =
   let store = store_of (Helpers.triangle ()) in
-  (* insert an existing edge; delete-then-reinsert an edge; a self-loop *)
+  (* insert an existing edge; delete-then-reinsert an edge; a self-loop;
+     delete an absent edge *)
   let out =
     Service.Mutation_log.apply store
       [
@@ -148,13 +149,15 @@ let test_normalization_cancels () =
         Service.Mutation_log.Delete (1, 2);
         Service.Mutation_log.Insert (1, 2);
         Service.Mutation_log.Insert (5, 5);
+        Service.Mutation_log.Delete (0, 9);
       ]
   in
   Alcotest.(check int) "nothing inserted" 0 out.Service.Mutation_log.inserted;
   Alcotest.(check int) "nothing deleted" 0 out.Service.Mutation_log.deleted;
-  (* the existing-edge insert and the self-loop are literal no-ops; the
-     delete/insert pair nets to zero without being "ignored" *)
-  Alcotest.(check int) "two ops ignored" 2 out.Service.Mutation_log.ignored;
+  (* the existing-edge insert, the self-loop and the absent delete are
+     literal no-ops; the delete/insert pair nets to zero without being
+     "ignored" *)
+  Alcotest.(check int) "three ops ignored" 3 out.Service.Mutation_log.ignored;
   Alcotest.(check int) "still a fresh generation" 1
     (Service.Epoch.generation out.Service.Mutation_log.epoch);
   Alcotest.(check int) "edge set untouched" 3
