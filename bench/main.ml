@@ -11,24 +11,18 @@
      dune exec bench/main.exe -- --check BENCH_kernels.json    # perf-regression gate
      dune exec bench/main.exe -- --check BENCH_kernels.json --tol 0.6 --kmad 10
      dune exec bench/main.exe -- --check BENCH_kernels.json --update  # move the bar
-     dune exec bench/main.exe -- --check BENCH_kernels.json --alloc-tol 0.8
      dune exec bench/main.exe -- --record b.json --quota 4   # sampling budget/kernel
      dune exec bench/main.exe -- --obs --only table4 --json out.json
      dune exec bench/main.exe -- --domains 2 --only scaling  # parallel kernel pool
      dune exec bench/main.exe -- --list
 
-   --record re-runs the Bechamel kernel suite and writes the median/MAD/
-   alloc baseline (schema: METRICS_SCHEMA.md § baseline); when the file
-   already exists its previous entries are pushed into a bounded history
-   (last --history N runs, default 8).  --check compares a fresh run
-   against the trend across that history (median of the per-run medians —
-   one lucky or descheduled recording run moves the gate by at most one
-   rank) and exits 1 when any kernel's fresh median exceeds
-   trend + max(tol * trend, kmad * MAD) — a per-entry "tol" in the
-   baseline overrides the global --tol — or when its fresh allocation
-   exceeds trend + max(alloc-tol * trend, 4096w).  --check --update
-   instead re-records exactly the regressed kernels (keeping their tol
-   overrides), appends new ones, and exits 0.
+   --record re-runs the Bechamel kernel suite and writes (overwrites) the
+   median/MAD/alloc baseline (schema: METRICS_SCHEMA.md § baseline).
+   --check compares a fresh run against the file and exits 1 when any
+   kernel's fresh median exceeds baseline + max(tol * baseline, kmad * MAD)
+   or its fresh allocation exceeds baseline + max(0.5 * baseline, 4096w).
+   --check --update instead re-records exactly the regressed kernels,
+   appends new ones, and exits 0.
 
    --openmetrics FILE writes the obs registry as OpenMetrics text after
    the run (implies --obs); --assert-openmetrics additionally fails the
@@ -116,11 +110,9 @@ let () =
   let check_file = ref None in
   let check_tol = ref 0.25 in
   let check_kmad = ref 5.0 in
-  let check_alloc_tol = ref 0.5 in
   let check_update = ref false in
   let quota = ref None in
   let assert_counter = ref None in
-  let history_limit = ref Perf_baseline.default_history_limit in
   let openmetrics_file = ref None in
   let assert_openmetrics = ref false in
   let float_arg flag v =
@@ -156,18 +148,8 @@ let () =
     | "--kmad" :: v :: rest ->
       check_kmad := float_arg "--kmad" v;
       parse only rest
-    | "--alloc-tol" :: v :: rest ->
-      check_alloc_tol := float_arg "--alloc-tol" v;
-      parse only rest
     | "--update" :: rest ->
       check_update := true;
-      parse only rest
-    | "--history" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> history_limit := n
-      | _ ->
-        Printf.eprintf "--history expects a non-negative integer, got %S\n" v;
-        exit 2);
       parse only rest
     | "--openmetrics" :: file :: rest ->
       openmetrics_file := Some file;
@@ -195,8 +177,8 @@ let () =
         Printf.eprintf "--domains expects a non-negative integer (0 = auto), got %S\n" v;
         exit 2);
       parse only rest
-    | [ ("--record" | "--check" | "--tol" | "--kmad" | "--alloc-tol" | "--quota"
-        | "--domains" | "--json" | "--assert-counter" | "--history" | "--openmetrics")
+    | [ ("--record" | "--check" | "--tol" | "--kmad" | "--quota" | "--domains" | "--json"
+        | "--assert-counter" | "--openmetrics")
         as flag ] ->
       Printf.eprintf "%s requires an argument\n" flag;
       exit 2
@@ -241,28 +223,16 @@ let () =
         List.map
           (fun (kr : Bechamel_suite.kernel_run) ->
             Perf_baseline.of_samples ~name:kr.Bechamel_suite.kr_name
-              ~ns:kr.Bechamel_suite.kr_ns ~alloc_w:kr.Bechamel_suite.kr_alloc_w ())
+              ~ns:kr.Bechamel_suite.kr_ns ~alloc_w:kr.Bechamel_suite.kr_alloc_w)
           kernel_runs;
-      Perf_baseline.history = [];
     }
   in
   (match !record_file with
   | None -> ()
   | Some file -> (
-    (* Re-recording over an existing baseline keeps its previous runs as a
-       bounded history, so --check can gate against the trend.  A file that
-       does not exist (or no longer parses) starts a fresh history. *)
-    let updated =
-      match Perf_baseline.read file with
-      | Ok previous ->
-        Perf_baseline.push ~limit:!history_limit previous ~fresh:(fresh_baseline ())
-      | Error _ -> fresh_baseline ()
-    in
     try
-      Perf_baseline.write file updated;
-      Printf.printf "wrote baseline %s (%d kernels, %d historical run(s))\n" file
-        (List.length kernel_runs)
-        (List.length updated.Perf_baseline.history)
+      Perf_baseline.write file (fresh_baseline ());
+      Printf.printf "wrote baseline %s (%d kernels)\n" file (List.length kernel_runs)
     with Sys_error msg ->
       Printf.eprintf "cannot write %s: %s\n" file msg;
       exit 1));
@@ -324,16 +294,8 @@ let () =
       exit 1
     | Ok baseline ->
       let fresh = fresh_baseline () in
-      (* Gate against the trend across the recorded history (a no-op for
-         single-run v1/v2 files, whose trend is themselves). *)
-      if baseline.Perf_baseline.history <> [] then
-        Printf.printf "perf gate: comparing against the trend of %d recorded run(s)\n"
-          (List.length baseline.Perf_baseline.history + 1);
       let deltas =
-        Perf_baseline.compare ~rel_tol:!check_tol ~mad_k:!check_kmad
-          ~alloc_tol:!check_alloc_tol
-          ~baseline:(Perf_baseline.trend baseline)
-          ~fresh ()
+        Perf_baseline.compare ~rel_tol:!check_tol ~mad_k:!check_kmad ~baseline ~fresh ()
       in
       Perf_baseline.print_table stdout deltas;
       let regs = Perf_baseline.regressions deltas in
@@ -342,10 +304,9 @@ let () =
       in
       if !check_update then begin
         (* Accept the fresh measurements for exactly the kernels that failed
-           a gate (keeping each baseline entry's tol override) and append
-           kernels new to the suite; everything still in tolerance keeps its
-           original statistics.  Always exits 0 — this is the "the change is
-           intentional, move the bar" path. *)
+           a gate and append kernels new to the suite; everything still in
+           tolerance keeps its original statistics.  Always exits 0 — this
+           is the "the change is intentional, move the bar" path. *)
         if regs = [] && added = [] then
           Printf.printf "perf gate: %d kernels within tolerance of %s (nothing to update)\n"
             (List.length deltas) file
@@ -366,7 +327,7 @@ let () =
                   ( Hashtbl.mem regressed be.Perf_baseline.name,
                     Hashtbl.find_opt fresh_tbl be.Perf_baseline.name )
                 with
-                | true, Some fe -> { fe with Perf_baseline.tol = be.Perf_baseline.tol }
+                | true, Some fe -> fe
                 | _ -> be)
               baseline.Perf_baseline.entries
             @ List.filter_map
@@ -374,7 +335,7 @@ let () =
                   Hashtbl.find_opt fresh_tbl d.Perf_baseline.d_name)
                 added
           in
-          (try Perf_baseline.write file { baseline with Perf_baseline.entries }
+          (try Perf_baseline.write file { Perf_baseline.entries }
            with Sys_error msg ->
              Printf.eprintf "cannot write %s: %s\n" file msg;
              exit 1);
@@ -385,8 +346,8 @@ let () =
       else if regs <> [] then begin
         Printf.eprintf
           "perf gate: %d kernel(s) regressed beyond tolerance (tol %.0f%%, kmad %.1f, \
-           alloc-tol %.0f%%):\n"
-          (List.length regs) (100. *. !check_tol) !check_kmad (100. *. !check_alloc_tol);
+           alloc %.0f%%):\n"
+          (List.length regs) (100. *. !check_tol) !check_kmad (100. *. Perf_baseline.alloc_tol);
         List.iter
           (fun (d : Perf_baseline.delta) ->
             Printf.eprintf "  %-40s %.0fns -> %.0fns (+%.1f%%)%s\n" d.Perf_baseline.d_name

@@ -4,13 +4,14 @@
 
 open Cmdliner
 
-(* Run [f], reporting success as "<what> written to <path>"; a Sys_error
-   (unwritable directory, permission, ...) becomes a one-line stderr
-   message and [false] instead of an escaped backtrace. *)
+(* Run [f], reporting success as "<what> written to <path>" on stderr
+   (stdout is maxtruss-serve's protocol stream); a Sys_error (unwritable
+   directory, permission, ...) becomes a one-line stderr message and
+   [false] instead of an escaped backtrace. *)
 let guarded_write ~what ~path f =
   match f () with
   | () ->
-    Printf.printf "%s written to %s\n" what path;
+    Printf.eprintf "%s written to %s\n" what path;
     true
   | exception Sys_error msg ->
     Printf.eprintf "cannot write %s: %s\n" path msg;

@@ -57,21 +57,6 @@ let event_log_arg =
   in
   Arg.(value & opt (some string) None & info [ "event-log" ] ~docv:"FILE" ~doc)
 
-let event_sample_arg =
-  let doc = "Keep 1-in-$(docv) events in --event-log (deterministic under --event-seed)." in
-  Arg.(value & opt int 1 & info [ "event-sample" ] ~docv:"N" ~doc)
-
-let event_seed_arg =
-  let doc = "Seed for --event-sample's sampling stream." in
-  Arg.(value & opt (some int) None & info [ "event-seed" ] ~docv:"SEED" ~doc)
-
-let slow_ns_arg =
-  let doc =
-    "Requests whose execution takes at least $(docv) nanoseconds are always written to \
-     --event-log (marked \"slow\":true), regardless of sampling.  0 disables the override."
-  in
-  Arg.(value & opt int 0 & info [ "slow-ns" ] ~docv:"NS" ~doc)
-
 let metrics_socket_arg =
   let doc =
     "Serve the live OpenMetrics exposition over minimal HTTP on a second Unix-domain \
@@ -83,8 +68,7 @@ let metrics_socket_arg =
 
 let serve_cmd =
   let run input dataset domains stdin_mode socket tcp host fallback_fraction max_batch stats
-      metrics trace openmetrics assert_om flight_record flight_dump event_log event_sample
-      event_seed slow_ns metrics_socket =
+      metrics trace openmetrics assert_om flight_record flight_dump event_log metrics_socket =
     match load_graph input dataset with
     | Error e ->
       Printf.eprintf "%s\n" e;
@@ -109,9 +93,8 @@ let serve_cmd =
         (match event_log with
         | None -> ()
         | Some path ->
-          Obs.Events.configure ~sample_every:event_sample ?seed:event_seed ~slow_ns path;
-          Printf.eprintf "[serve] event log: %s (sample 1/%d, slow-ns %d)\n%!" path
-            (max 1 event_sample) (max 0 slow_ns));
+          Obs.Events.configure path;
+          Printf.eprintf "[serve] event log: %s\n%!" path);
         let metrics_fd =
           match metrics_socket with
           | None -> None
@@ -148,8 +131,7 @@ let serve_cmd =
           (Service.Epoch.kmax final)
           (Service.Mutation_log.fallback_count ());
         if Obs.Events.active () then
-          Printf.eprintf "[serve] event log: %d/%d events written\n%!" (Obs.Events.written ())
-            (Obs.Events.seen ());
+          Printf.eprintf "[serve] event log: %d events written\n%!" (Obs.Events.written ());
         let ok = ref (export_obs ~stats ~metrics ~trace ~openmetrics) in
         if assert_om then begin
           match Obs.lint_openmetrics (Obs.openmetrics ()) with
@@ -170,6 +152,6 @@ let serve_cmd =
       const run $ input $ dataset_opt $ domains_arg $ stdin_flag $ socket_arg $ tcp_arg
       $ host_arg $ fallback_arg $ max_batch_arg $ stats_flag $ metrics_out $ trace_out
       $ openmetrics_out $ assert_openmetrics_flag $ flight_record_arg $ flight_dump_arg
-      $ event_log_arg $ event_sample_arg $ event_seed_arg $ slow_ns_arg $ metrics_socket_arg)
+      $ event_log_arg $ metrics_socket_arg)
 
 let () = exit (Cmd.eval' serve_cmd)

@@ -77,6 +77,8 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                 pool
             end)
           comps;
+        (* A pair can sit in several components' pools: commit it once. *)
+        let committed = Hashtbl.create 64 in
         let chosen = ref [] in
         let n_chosen = ref 0 in
         let timed_out = ref !seed_deadline in
@@ -86,7 +88,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
           else
             match Min_heap.pop heap with
             | None -> continue := false
-            | Some (_, _, ci, key) when Graph.mem_edge_key locals.(ci).lg key -> ()
+            | Some (_, _, _, key) when Hashtbl.mem committed key -> ()
             | Some (_, _, ci, key) ->
               let l = locals.(ci) in
               let fresh = gain_of l key in
@@ -96,6 +98,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
               let u, v = Edge_key.endpoints key in
               if fresh >= next_gain then begin
                 ignore (Graph.add_edge l.lg u v);
+                Hashtbl.replace committed key ();
                 l.committed <- (u, v) :: l.committed;
                 l.base <- l.base + fresh;
                 chosen := (u, v) :: !chosen;

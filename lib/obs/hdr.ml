@@ -2,9 +2,7 @@
    significant decimal digits): 128 linear sub-buckets per power-of-two
    range, so any recorded value is resolved to within 1/128 (< 1 %) of its
    magnitude.  The counts array is allocated once at [create] and never
-   grows — observing is two shifts, a mask and an increment — which is what
-   lets the observability layer keep one histogram per span path alive for
-   the whole life of a long-running process.
+   grows — observing is two shifts, a mask and an increment.
 
    Values are non-negative ints in an arbitrary unit (the obs layer uses
    nanoseconds); negative values clamp to 0 and values above {!max_value}
@@ -55,13 +53,6 @@ type t = {
 
 let create () =
   { counts = Array.make counts_len 0; total = 0; sum = 0; min_v = max_int; max_v = 0 }
-
-let clear t =
-  Array.fill t.counts 0 counts_len 0;
-  t.total <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
 
 let observe t v =
   let v = if v < 0 then 0 else if v > max_value then max_value else v in
@@ -115,15 +106,6 @@ let merge ~into t =
     if t.min_v < into.min_v then into.min_v <- t.min_v;
     if t.max_v > into.max_v then into.max_v <- t.max_v
   end
-
-let copy t =
-  {
-    counts = Array.copy t.counts;
-    total = t.total;
-    sum = t.sum;
-    min_v = t.min_v;
-    max_v = t.max_v;
-  }
 
 (* Non-empty slots as (inclusive upper bound, cumulative count), ascending —
    exactly the shape of OpenMetrics cumulative `_bucket` series (minus the

@@ -7,7 +7,8 @@
 
     This is the raw, single-writer data structure.  The registered,
     domain-safe metric built on it is {!Obs.Histogram}; the per-span-path
-    duration histograms the obs layer maintains are also [Hdr.t]s. *)
+    duration histograms the exporters derive from the span tree are also
+    [Hdr.t]s. *)
 
 type t
 
@@ -15,8 +16,6 @@ val max_value : int
 (** Highest trackable value ([2^61 - 1]); {!observe} clamps above it. *)
 
 val create : unit -> t
-
-val clear : t -> unit
 
 val observe : t -> int -> unit
 (** Record one value.  Negative values clamp to 0, values above
@@ -42,8 +41,6 @@ val quantile : t -> float -> int
 
 val merge : into:t -> t -> unit
 (** Add [t]'s counts, sum and min/max into [into]; [t] is unchanged. *)
-
-val copy : t -> t
 
 val buckets : t -> (int * int) list
 (** Non-empty slots as (inclusive upper bound, cumulative count) pairs in

@@ -25,13 +25,9 @@
    [reset]/[set_enabled]/the exporters remain owner-domain-only, and must
    not run while scopes are in flight.
 
-   Span-duration histograms: every completed span feeds a per-path [Hdr.t]
-   so the exporters can report p50/p90/p99 instead of only totals.  All
-   feeding happens on the owner domain — spans closed on the owner stack
-   feed at [Span.exit] (the stack gives the full path), spans buffered in a
-   [Domain_scope] feed at [merge], when their final path prefix becomes
-   known — so the per-path registry needs no locking and merge order keeps
-   it deterministic. *)
+   Span-duration histograms are not kept on the side: the exporters build
+   each path's [Hdr.t] from the tree's closed occurrences of that path when
+   they render, so the span tree is the one record every export reads. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -54,55 +50,60 @@ type histogram = {
   h_gen : int Atomic.t;
 }
 
+(* Allocation counters for span attribution, all per-domain on OCaml 5 —
+   exactly the attribution a span recorded on that domain wants.  Minor
+   words come from [Gc.minor_words], which reads the young pointer; major
+   and promoted words from two non-allocating reads of the domain's own
+   counters (obs_gc_stubs.c); collection counts from [Gc.quick_stat].  Not
+   Gc's own [counters]: on OCaml 5.1 a minor collection while it boxes its
+   results aborts or corrupts the runtime.  Not quick_stat's word counts
+   either: they only advance at collections, so a direct major-heap
+   allocation would be charged to whichever span is open at the next one.
+   The three word reads allocate nothing, so no collection can fall
+   between them. *)
+external major_words : unit -> (float[@unboxed])
+  = "obs_major_words_byte" "obs_major_words"
+[@@noalloc]
+
+external promoted_words : unit -> (float[@unboxed])
+  = "obs_promoted_words_byte" "obs_promoted_words"
+[@@noalloc]
+
+(* All floats, so OCaml stores the record flat: two of them per span
+   node cost 12 words, no boxes. *)
+type gc_snap = {
+  gs_minor : float;
+  gs_promoted : float;
+  gs_major : float;
+  gs_mincol : float;
+  gs_majcol : float;
+}
+
+let gc_snap () =
+  let gs_minor = Gc.minor_words () in
+  let gs_major = major_words () in
+  let gs_promoted = promoted_words () in
+  let q = Gc.quick_stat () in
+  {
+    gs_minor;
+    gs_promoted;
+    gs_major;
+    gs_mincol = float_of_int q.Gc.minor_collections;
+    gs_majcol = float_of_int q.Gc.major_collections;
+  }
+
 type node = {
   s_name : string;
   s_args : (string * string) list;
   s_t0 : float;
   s_domain : int;  (* domain that entered the span; exits elsewhere are dropped *)
   mutable s_dur : float;  (* negative while the span is open *)
-  (* Gc snapshot at enter ... *)
-  s_minor0 : float;
-  s_major0 : float;
-  s_promoted0 : float;
-  s_mincol0 : int;
-  s_majcol0 : int;
-  (* ... and the deltas filled in at exit (valid once s_dur >= 0). *)
-  mutable s_d_minor : float;
-  mutable s_d_major : float;
-  mutable s_d_promoted : float;
-  mutable s_d_mincol : int;
-  mutable s_d_majcol : int;
+  s_gc0 : gc_snap;  (* at enter *)
+  mutable s_gc1 : gc_snap;  (* at exit; valid once s_dur >= 0 *)
   mutable s_children : node list;  (* reverse chronological *)
   mutable s_counters : (counter * int ref) list;  (* own deltas *)
   s_gen : int;
 }
-
-(* Word counters via [Gc.minor_words]/[Gc.counters], not [Gc.quick_stat]:
-   on OCaml 5.1 quick_stat's word counters are only flushed at collection
-   boundaries, so between GCs their deltas read as zero.  minor_words reads
-   the young pointer directly and counters tracks major-heap words as they
-   are allocated; collection counts change exactly at collections, so
-   quick_stat is accurate for those.  All of these are per-domain counters
-   on OCaml 5, which is exactly the attribution a span recorded on that
-   domain wants. *)
-type gc_snap = {
-  gs_minor : float;
-  gs_promoted : float;
-  gs_major : float;
-  gs_mincol : int;
-  gs_majcol : int;
-}
-
-let gc_snap () =
-  let _, promoted, major = Gc.counters () in
-  let q = Gc.quick_stat () in
-  {
-    gs_minor = Gc.minor_words ();
-    gs_promoted = promoted;
-    gs_major = major;
-    gs_mincol = q.Gc.minor_collections;
-    gs_majcol = q.Gc.major_collections;
-  }
 
 let make_node ~name ~args =
   let q = gc_snap () in
@@ -112,16 +113,8 @@ let make_node ~name ~args =
     s_t0 = now ();
     s_domain = (Domain.self () :> int);
     s_dur = -1.;
-    s_minor0 = q.gs_minor;
-    s_major0 = q.gs_major;
-    s_promoted0 = q.gs_promoted;
-    s_mincol0 = q.gs_mincol;
-    s_majcol0 = q.gs_majcol;
-    s_d_minor = 0.;
-    s_d_major = 0.;
-    s_d_promoted = 0.;
-    s_d_mincol = 0;
-    s_d_majcol = 0;
+    s_gc0 = q;
+    s_gc1 = q;
     s_children = [];
     s_counters = [];
     s_gen = Atomic.get generation;
@@ -342,6 +335,58 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* One span as a Chrome trace event.  [ev_args] render as JSON strings,
+   [ev_counters] (a span's own counter deltas) as numbers.  Mutable so the
+   flight recorder can recycle its preallocated ring of them. *)
+type trace_event = {
+  mutable ev_name : string;
+  mutable ev_args : (string * string) list;
+  ev_counters : (string * int) list;
+  mutable ev_t0 : float;
+  mutable ev_dur : float;
+  mutable ev_tid : int;
+}
+
+(* The one Chrome trace-event renderer, behind both [--trace] and the
+   flight-recorder dump: a process-name record, then one complete
+   ("ph":"X") event per span, in µs since the obs epoch. *)
+let chrome_trace ~process ~cat events =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "{ \"traceEvents\": [\n";
+  add
+    "  { \"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": { \
+     \"name\": \"%s\" } }"
+    (json_escape process);
+  List.iter
+    (fun ev ->
+      add
+        ",\n  { \"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": %s, \"dur\": \
+         %s, \"pid\": 1, \"tid\": %d"
+        (json_escape ev.ev_name) cat
+        (json_float ((ev.ev_t0 -. !epoch) *. 1e6))
+        (json_float (ev.ev_dur *. 1e6))
+        ev.ev_tid;
+      if ev.ev_args <> [] || ev.ev_counters <> [] then begin
+        let sep = ref "" in
+        add ", \"args\": { ";
+        List.iter
+          (fun (k, v) ->
+            add "%s\"%s\": \"%s\"" !sep (json_escape k) (json_escape v);
+            sep := ", ")
+          ev.ev_args;
+        List.iter
+          (fun (k, v) ->
+            add "%s\"%s\": %d" !sep (json_escape k) v;
+            sep := ", ")
+          ev.ev_counters;
+        add " }"
+      end;
+      add " }")
+    events;
+  add "\n] }\n";
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 
@@ -359,15 +404,7 @@ module Flight_recorder = struct
      deliberately does NOT clear the ring: it is a process-lifetime tail,
      not a per-run metric. *)
 
-  type cell = {
-    mutable e_name : string;
-    mutable e_args : (string * string) list;
-    mutable e_t0 : float;
-    mutable e_dur : float;
-    mutable e_dom : int;
-  }
-
-  let cells : cell array ref = ref [||]
+  let cells : trace_event array ref = ref [||]
 
   let cursor = Atomic.make 0  (* total spans ever recorded *)
 
@@ -385,7 +422,7 @@ module Flight_recorder = struct
     let capacity = max 0 capacity in
     cells :=
       Array.init capacity (fun _ ->
-          { e_name = ""; e_args = []; e_t0 = 0.; e_dur = 0.; e_dom = 0 });
+          { ev_name = ""; ev_args = []; ev_counters = []; ev_t0 = 0.; ev_dur = 0.; ev_tid = 0 });
     Atomic.set cursor 0
 
   let set_dump_path p = dump_path := p
@@ -396,50 +433,24 @@ module Flight_recorder = struct
     if cap > 0 then begin
       let i = Atomic.fetch_and_add cursor 1 in
       let c = cs.(i mod cap) in
-      c.e_name <- name;
-      c.e_args <- args;
-      c.e_t0 <- t0;
-      c.e_dur <- dur;
-      c.e_dom <- (Domain.self () :> int)
+      c.ev_name <- name;
+      c.ev_args <- args;
+      c.ev_t0 <- t0;
+      c.ev_dur <- dur;
+      c.ev_tid <- (Domain.self () :> int)
     end
 
-  (* Oldest-to-newest Chrome trace (ph:"X", µs since the obs epoch, tid =
-     domain id), loadable in Perfetto next to a [--trace] export. *)
+  (* Oldest to newest, tid = recording domain id. *)
   let dump_json () =
     let cs = !cells in
     let cap = Array.length cs in
     let total = Atomic.get cursor in
     let n = min total cap in
     let first = total - n in
-    let buf = Buffer.create 4096 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{ \"traceEvents\": [\n";
-    add
-      "  { \"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": { \
-       \"name\": \"maxtruss flight recorder (last %d spans)\" } }"
-      n;
-    for j = 0 to n - 1 do
-      let c = cs.((first + j) mod cap) in
-      add
-        ",\n  { \"name\": \"%s\", \"cat\": \"flight\", \"ph\": \"X\", \"ts\": %s, \"dur\": \
-         %s, \"pid\": 1, \"tid\": %d"
-        (json_escape c.e_name)
-        (json_float ((c.e_t0 -. !epoch) *. 1e6))
-        (json_float (c.e_dur *. 1e6))
-        c.e_dom;
-      if c.e_args <> [] then begin
-        add ", \"args\": { ";
-        List.iteri
-          (fun i (k, v) ->
-            add "%s\"%s\": \"%s\"" (if i = 0 then "" else ", ") (json_escape k)
-              (json_escape v))
-          c.e_args;
-        add " }"
-      end;
-      add " }"
-    done;
-    add "\n] }\n";
-    Buffer.contents buf
+    chrome_trace
+      ~process:(Printf.sprintf "maxtruss flight recorder (last %d spans)" n)
+      ~cat:"flight"
+      (List.init n (fun j -> cs.((first + j) mod cap)))
 
   let dump path = write_file path (dump_json ())
 
@@ -484,182 +495,73 @@ module Events = struct
   (* One structured JSONL line per served request, written to a file the
      daemon opens at startup.  Complements the aggregated registry: the
      histograms answer "what is p99", the event log answers "which request
-     was slow, against which epoch, at which batch position".
-
-     Sampling keeps the log bounded under load: a per-domain xorshift
-     stream (seeded, so replays are deterministic) keeps 1-in-N events,
-     and a slow-exec threshold overrides sampling so tail latency is never
-     sampled away.  Like [Hdr] shards, each domain owns its own RNG cell —
-     growth of the shard list is mutex-protected, the draw itself is
-     single-writer — and line writes are serialized (one [output_string] +
+     was slow, against which epoch, at which batch position".  Every
+     request is written; line writes are serialized (one [output_string] +
      flush per line, so a killed process leaves whole lines).
 
      Overhead contract: while no sink is configured, [emit_request] costs
      one ref load and allocates nothing — same bar as the disabled obs
      fast path, enforced by the same zero-alloc test. *)
 
-  type sink = {
-    oc : out_channel;
-    sample_every : int;
-    slow_ns : int;
-    seed : int;
-    write_mutex : Mutex.t;
-    rng_mutex : Mutex.t;
-    mutable rngs : (int * int ref) list;  (* domain id -> xorshift state *)
-  }
+  let sink : out_channel option ref = ref None
 
-  let sink : sink option ref = ref None
-
-  let seen_ctr = Atomic.make 0
+  let write_mutex = Mutex.create ()
 
   let written_ctr = Atomic.make 0
 
-  let active () = match !sink with None -> false | Some _ -> true
-
-  let seen () = Atomic.get seen_ctr
+  let active () = Option.is_some !sink
 
   let written () = Atomic.get written_ctr
-
-  let default_seed = 0x6d617874727573  (* arbitrary; only determinism matters *)
 
   let close () =
     match !sink with
     | None -> ()
-    | Some s -> (
+    | Some oc -> (
       sink := None;
       try
-        flush s.oc;
-        close_out s.oc
+        flush oc;
+        close_out oc
       with Sys_error _ -> ())
 
-  let configure ?(sample_every = 1) ?(seed = default_seed) ?(slow_ns = 0) path =
+  let configure path =
     close ();
     let oc = open_out path in
-    Atomic.set seen_ctr 0;
     Atomic.set written_ctr 0;
-    let s =
-      {
-        oc;
-        sample_every = max 1 sample_every;
-        slow_ns = max 0 slow_ns;
-        seed;
-        write_mutex = Mutex.create ();
-        rng_mutex = Mutex.create ();
-        rngs = [];
-      }
-    in
-    (* Self-describing header so a bare .jsonl file identifies its schema
-       and the sampling regime its gaps should be read under. *)
-    output_string oc
-      (Printf.sprintf
-         "{\"event\":\"start\",\"schema\":\"maxtruss-serve-events\",\"version\":1,\"sample_every\":%d,\"slow_ns\":%d}\n"
-         s.sample_every s.slow_ns);
+    (* Self-describing header so a bare .jsonl file identifies its schema. *)
+    output_string oc "{\"event\":\"start\",\"schema\":\"maxtruss-serve-events\",\"version\":2}\n";
     flush oc;
-    sink := Some s
-
-  (* Per-domain xorshift state, decorrelated across domains by folding the
-     domain id into the seed; never zero (xorshift's absorbing state). *)
-  let rng_for s =
-    let d = (Domain.self () :> int) in
-    let rec find = function
-      | [] -> None
-      | (d', r) :: rest -> if d' = d then Some r else find rest
-    in
-    match find s.rngs with
-    | Some r -> r
-    | None ->
-      Mutex.lock s.rng_mutex;
-      let r =
-        match find s.rngs with
-        | Some r -> r
-        | None ->
-          let st = s.seed lxor ((d + 1) * 0x1e3779b97f4a7c15) in
-          let r = ref (if st = 0 then 1 else st land max_int) in
-          s.rngs <- (d, r) :: s.rngs;
-          r
-      in
-      Mutex.unlock s.rng_mutex;
-      r
-
-  let draw s =
-    let r = rng_for s in
-    let x = !r in
-    let x = x lxor (x lsl 13) in
-    let x = x lxor (x lsr 7) in
-    let x = x lxor (x lsl 17) in
-    let x = if x = 0 then 1 else x in
-    r := x;
-    x land max_int
+    sink := Some oc
 
   let emit_request ~op ~id ~gen ~epoch_age ~queue_ns ~exec_ns ~batch_size ~batch_pos ~ok =
     match !sink with
     | None -> ()
-    | Some s ->
-      Atomic.incr seen_ctr;
-      let slow = s.slow_ns > 0 && exec_ns >= s.slow_ns in
-      let sampled = s.sample_every = 1 || draw s mod s.sample_every = 0 in
-      if sampled || slow then begin
-        let b = Buffer.create 192 in
-        Printf.bprintf b "{\"event\":\"request\",\"ts_ns\":%.0f,\"op\":\"%s\""
-          (now () *. 1e9) (json_escape op);
-        (match id with None -> () | Some v -> Printf.bprintf b ",\"id\":%s" v);
-        Printf.bprintf b
-          ",\"gen\":%d,\"epoch_age\":%d,\"queue_ns\":%d,\"exec_ns\":%d,\"batch_size\":%d,\"batch_pos\":%d,\"ok\":%b,\"slow\":%b}\n"
-          gen epoch_age queue_ns exec_ns batch_size batch_pos ok slow;
-        Mutex.lock s.write_mutex;
-        (try
-           output_string s.oc (Buffer.contents b);
-           flush s.oc
-         with Sys_error _ -> ());
-        Mutex.unlock s.write_mutex;
-        Atomic.incr written_ctr
-      end
+    | Some oc ->
+      let b = Buffer.create 192 in
+      Printf.bprintf b "{\"event\":\"request\",\"ts_ns\":%.0f,\"op\":\"%s\""
+        (now () *. 1e9) (json_escape op);
+      (match id with None -> () | Some v -> Printf.bprintf b ",\"id\":%s" v);
+      Printf.bprintf b
+        ",\"gen\":%d,\"epoch_age\":%d,\"queue_ns\":%d,\"exec_ns\":%d,\"batch_size\":%d,\"batch_pos\":%d,\"ok\":%b}\n"
+        gen epoch_age queue_ns exec_ns batch_size batch_pos ok;
+      Mutex.lock write_mutex;
+      (try
+         output_string oc (Buffer.contents b);
+         flush oc
+       with Sys_error _ -> ());
+      Mutex.unlock write_mutex;
+      Atomic.incr written_ctr
 end
 
 (* ------------------------------------------------------------------ *)
-(* Span-path duration histograms                                      *)
+(* Spans                                                              *)
 
-(* Keyed by the full rendered path ("a/b(h=2)"), same keys as [span_stats].
-   Owner-domain only (feeding happens at owner-side closes and at
-   [Domain_scope.merge]), so a plain Hashtbl suffices; values are observed
-   in integer nanoseconds. *)
-let span_hists : (string, Hdr.t) Hashtbl.t = Hashtbl.create 64
-
-let dur_ns dur_s = int_of_float (dur_s *. 1e9)
-
-let feed_path_dur path dur_s =
-  let h =
-    match Hashtbl.find_opt span_hists path with
-    | Some h -> h
-    | None ->
-      let h = Hdr.create () in
-      Hashtbl.replace span_hists path h;
-      h
-  in
-  Hdr.observe h (dur_ns dur_s)
-
-let rendered_name n =
-  match n.s_args with
-  | [] -> n.s_name
-  | args ->
-    n.s_name ^ "("
-    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-    ^ ")"
-
-let join_path prefix n =
-  if prefix = "" then rendered_name n else prefix ^ "/" ^ rendered_name n
-
-(* Close [n] if still open, stamping duration and GC deltas from the
-   snapshot taken by the caller; every real close also lands in the flight
-   recorder and ticks the sampled peak-heap probe. *)
+(* Close [n] if still open, stamping its duration and exit GC snapshot;
+   every real close also lands in the flight recorder and ticks the
+   sampled peak-heap probe. *)
 let close_node ~t ~q n =
   if n.s_dur < 0. then begin
     n.s_dur <- t -. n.s_t0;
-    n.s_d_minor <- q.gs_minor -. n.s_minor0;
-    n.s_d_major <- q.gs_major -. n.s_major0;
-    n.s_d_promoted <- q.gs_promoted -. n.s_promoted0;
-    n.s_d_mincol <- q.gs_mincol - n.s_mincol0;
-    n.s_d_majcol <- q.gs_majcol - n.s_majcol0;
+    n.s_gc1 <- q;
     if n.s_name <> "" then begin
       Flight_recorder.record ~name:n.s_name ~args:n.s_args ~t0:n.s_t0 ~dur:n.s_dur;
       let closed = Atomic.fetch_and_add span_closes 1 + 1 in
@@ -702,35 +604,16 @@ module Span = struct
         if n.s_gen = Atomic.get generation && List.memq n !st then begin
           let t = now () in
           let q = gc_snap () in
-          (* Paths are only final when this stack bottoms out at the live
-             owner root; scope-buffered spans feed their histograms at
-             [Domain_scope.merge] instead. *)
-          let paths =
-            match List.rev !st with
-            | base :: rest when base == !root_node ->
-              let _, acc =
-                List.fold_left
-                  (fun (prefix, acc) m ->
-                    let p = join_path prefix m in
-                    (p, (m, p) :: acc))
-                  ("", []) rest
-              in
-              acc  (* innermost first, matching the pop order below *)
-            | _ -> []
-          in
           (* Close forgotten open descendants along the way. *)
-          let continue = ref true in
-          while !continue do
+          let rec pop () =
             match !st with
             | top :: rest ->
               close_node ~t ~q top;
-              (match List.assq_opt top paths with
-              | Some p -> feed_path_dur p top.s_dur
-              | None -> ());
               st := rest;
-              if top == n then continue := false
-            | [] -> continue := false
-          done
+              if top != n then pop ()
+            | [] -> ()
+          in
+          pop ()
         end
       end
 
@@ -773,14 +656,15 @@ module Domain_scope = struct
     | _ ->
       let t = now () in
       let q = gc_snap () in
-      let continue = ref true in
-      while !continue do
+      let rec pop () =
         match !st with
-        | top :: rest when not (top == stop_at) ->
+        | top :: rest when top != stop_at ->
           close_node ~t ~q top;
-          st := rest
-        | _ -> continue := false
-      done
+          st := rest;
+          pop ()
+        | _ -> ()
+      in
+      pop ()
 
   let run sc f =
     match sc with
@@ -802,34 +686,13 @@ module Domain_scope = struct
         restore ();
         Printexc.raise_with_backtrace e bt)
 
-  (* Feed the duration histograms of a merged subtree, now that the final
-     path prefix is known.  All buffered nodes are closed (the scope's
-     [drain_above] ran before the join), so the walk is total. *)
-  let rec feed_subtree prefix n =
-    if n.s_dur >= 0. then begin
-      let p = join_path prefix n in
-      feed_path_dur p n.s_dur;
-      List.iter (feed_subtree p) n.s_children
-    end
-
   let merge sc =
     match sc with
     | None -> ()
     | Some root ->
       if root.s_gen = Atomic.get generation && root.s_children <> [] then begin
         match !(cur_stack ()) with
-        | top :: _ as stack ->
-          (* Histograms only feed when merging into the live owner tree; a
-             merge into an enclosing scope's buffer defers to that scope's
-             own merge, which walks the spliced subtree with the full
-             prefix (so nothing is fed twice). *)
-          (match List.rev stack with
-          | base :: rest when base == !root_node ->
-            let prefix =
-              List.fold_left (fun prefix m -> join_path prefix m) "" rest
-            in
-            List.iter (feed_subtree prefix) root.s_children
-          | _ -> ());
+        | top :: _ ->
           (* Both child lists are reverse chronological; prepending keeps
              successive merges in call order once reversed, i.e. merged
              subtrees read in task-index order. *)
@@ -845,7 +708,6 @@ let reset () =
   gauges_reg := [];
   histograms_reg := [];
   Mutex.unlock reg_mutex;
-  Hashtbl.reset span_hists;
   let r = make_root () in
   root_node := r;
   owner_stack := [ r ];
@@ -886,27 +748,32 @@ type span_stat = {
 
 let node_dur ~t n = if n.s_dur >= 0. then n.s_dur else t -. n.s_t0
 
+let dur_ns dur_s = int_of_float (dur_s *. 1e9)
+
 (* (allocated words, promoted words, minor gcs, major gcs) over the span's
    lifetime; allocated = minor + major - promoted, which matches
    [Gc.allocated_bytes] up to the word size.  Open spans are measured up to
    the [q] snapshot. *)
 let node_gc ~q n =
-  if n.s_dur >= 0. then
-    ( n.s_d_minor +. n.s_d_major -. n.s_d_promoted,
-      n.s_d_promoted,
-      n.s_d_mincol,
-      n.s_d_majcol )
-  else
-    ( q.gs_minor -. n.s_minor0
-      +. (q.gs_major -. n.s_major0)
-      -. (q.gs_promoted -. n.s_promoted0),
-      q.gs_promoted -. n.s_promoted0,
-      q.gs_mincol - n.s_mincol0,
-      q.gs_majcol - n.s_majcol0 )
+  let q0 = n.s_gc0 and q1 = if n.s_dur >= 0. then n.s_gc1 else q in
+  ( q1.gs_minor -. q0.gs_minor
+    +. (q1.gs_major -. q0.gs_major)
+    -. (q1.gs_promoted -. q0.gs_promoted),
+    q1.gs_promoted -. q0.gs_promoted,
+    int_of_float (q1.gs_mincol -. q0.gs_mincol),
+    int_of_float (q1.gs_majcol -. q0.gs_majcol) )
 
 let node_alloc ~q n =
   let a, _, _, _ = node_gc ~q n in
   a
+
+let rendered_name n =
+  match n.s_args with
+  | [] -> n.s_name
+  | args ->
+    n.s_name ^ "("
+    ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) args)
+    ^ ")"
 
 (* Group a chronological sibling list by rendered name, preserving
    first-appearance order; each group keeps its nodes chronological. *)
@@ -924,29 +791,22 @@ let group_siblings nodes =
     nodes;
   List.rev_map (fun key -> (key, List.rev !(Hashtbl.find tbl key))) !order
 
-(* Quantiles for a span row: the registered per-path histogram when it has
-   data (the normal case once spans closed), else a transient histogram
-   over the rows' own durations — covers paths whose spans are all still
-   open at export time, with the same log-linear quantization. *)
-let path_quantiles ~t path ns =
-  let h =
-    match Hashtbl.find_opt span_hists path with
-    | Some h when Hdr.count h > 0 -> h
-    | _ ->
-      let h = Hdr.create () in
-      List.iter (fun n -> Hdr.observe h (dur_ns (node_dur ~t n))) ns;
-      h
-  in
-  let q p = float_of_int (Hdr.quantile h p) /. 1e9 in
-  (q 0.5, q 0.9, q 0.99)
-
-let span_stats () =
+(* The one walk every span export reads: the tree grouped by rendered path,
+   in preorder.  Each row carries its [span_stat] and the duration
+   histogram (ns) of the path's closed occurrences — [None] while none has
+   closed, in which case the row's quantiles come from all occurrences,
+   open ones measured up to now. *)
+let span_rows () =
   let t = now () in
   let q = gc_snap () in
-  let acc = ref [] in
-  let rec walk prefix nodes =
-    List.iter
-      (fun (key, ns) ->
+  let hist keep ns =
+    let h = Hdr.create () in
+    List.iter (fun n -> if keep n then Hdr.observe h (dur_ns (node_dur ~t n))) ns;
+    h
+  in
+  let rec walk prefix acc groups =
+    List.fold_left
+      (fun acc (key, ns) ->
         let path = if prefix = "" then key else prefix ^ "/" ^ key in
         let total = List.fold_left (fun s n -> s +. node_dur ~t n) 0. ns in
         let alloc, promoted, min_gcs, maj_gcs =
@@ -975,16 +835,21 @@ let span_stats () =
         let ctrs =
           List.rev_map (fun name -> (name, !(Hashtbl.find ctr_tbl name))) !ctr_order
         in
-        let p50, p90, p99 = path_quantiles ~t path ns in
-        acc :=
+        let closed =
+          let h = hist (fun n -> n.s_dur >= 0.) ns in
+          if Hdr.count h = 0 then None else Some h
+        in
+        let qh = match closed with Some h -> h | None -> hist (fun _ -> true) ns in
+        let quantile p = float_of_int (Hdr.quantile qh p) /. 1e9 in
+        let row =
           {
             path;
             count = List.length ns;
             total_s = total;
             self_s = total -. child_total;
-            p50_s = p50;
-            p90_s = p90;
-            p99_s = p99;
+            p50_s = quantile 0.5;
+            p90_s = quantile 0.9;
+            p99_s = quantile 0.99;
             alloc_w = alloc;
             self_alloc_w = alloc -. child_alloc;
             promoted_w = promoted;
@@ -992,40 +857,42 @@ let span_stats () =
             major_gcs = maj_gcs;
             counters = ctrs;
           }
-          :: !acc;
-        walk path (group_siblings children))
-      nodes
+        in
+        walk path ((row, closed) :: acc) (group_siblings children))
+      acc groups
   in
-  walk "" (group_siblings (List.rev (!root_node).s_children));
-  List.rev !acc
+  List.rev (walk "" [] (group_siblings (List.rev (!root_node).s_children)))
+
+let span_stats () = List.map fst (span_rows ())
 
 (* Name order rather than registration order: concurrent first-touches
    reach the registry in whatever order the domains interleave, so sorting
    is what keeps two runs of the same workload comparable. *)
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+(* Per-path histograms of closed spans, in path order. *)
+let histograms_of_rows rows =
+  by_name (List.filter_map (fun (s, h) -> Option.map (fun h -> (s.path, h)) h) rows)
+
+let span_histograms () = histograms_of_rows (span_rows ())
+
 let counters () =
   Mutex.lock reg_mutex;
   let cs = !counters_reg in
   Mutex.unlock reg_mutex;
-  List.map (fun c -> (c.c_name, Atomic.get c.c_total)) cs
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  by_name (List.map (fun c -> (c.c_name, Atomic.get c.c_total)) cs)
 
 let gauges () =
   Mutex.lock reg_mutex;
   let gs = !gauges_reg in
   Mutex.unlock reg_mutex;
-  List.map (fun g -> (g.g_name, Atomic.get g.g_value)) gs
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  by_name (List.map (fun g -> (g.g_name, Atomic.get g.g_value)) gs)
 
 let histograms () =
   Mutex.lock reg_mutex;
   let hs = !histograms_reg in
   Mutex.unlock reg_mutex;
-  List.map (fun h -> (h.h_name, Histogram.snapshot h)) hs
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let span_histograms () =
-  Hashtbl.fold (fun path h acc -> (path, Hdr.copy h) :: acc) span_hists []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  by_name (List.map (fun h -> (h.h_name, Histogram.snapshot h)) hs)
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                          *)
@@ -1116,14 +983,23 @@ let hist_json h =
 let metrics_json () =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (* A JSON object, one ["key": value] line per entry at [indent]. *)
+  let obj indent render entries =
+    add "{";
+    List.iteri
+      (fun i (k, v) ->
+        add "%s\n%s\"%s\": %s" (if i = 0 then "" else ",") indent (json_escape k) (render v))
+      entries;
+    add "%s%s}" (if entries = [] then "" else "\n") (String.sub indent 2 (String.length indent - 2))
+  in
   add "{\n";
   add "  \"schema\": \"maxtruss-obs-metrics\",\n";
   add "  \"version\": 3,\n";
   add "  \"enabled\": %b,\n" (Atomic.get enabled_flag);
-  let stats = span_stats () in
+  let rows = span_rows () in
   add "  \"spans\": [";
   List.iteri
-    (fun i s ->
+    (fun i (s, _) ->
       add "%s\n    { \"path\": \"%s\", \"count\": %d, \"total_s\": %s, \"self_s\": %s"
         (if i = 0 then "" else ",")
         (json_escape s.path) s.count (json_float s.total_s) (json_float s.self_s);
@@ -1141,45 +1017,24 @@ let metrics_json () =
         add " }"
       end;
       add " }")
-    stats;
-  add "%s  ],\n" (if stats = [] then "" else "\n");
-  let cs = counters () in
-  add "  \"counters\": {";
-  List.iteri
-    (fun i (k, v) ->
-      add "%s\n    \"%s\": %d" (if i = 0 then "" else ",") (json_escape k) v)
-    cs;
-  add "%s  },\n" (if cs = [] then "" else "\n");
-  let gs = gauges () in
-  add "  \"gauges\": {";
-  List.iteri
-    (fun i (k, v) ->
-      add "%s\n    \"%s\": %s" (if i = 0 then "" else ",") (json_escape k) (json_float v))
-    gs;
-  add "%s  }" (if gs = [] then "" else "\n");
-  (* v3: optional histograms section — "named" are registered
-     [Obs.Histogram]s (values in their own unit), "spans" the per-path
-     duration histograms (nanoseconds).  Omitted entirely when both are
-     empty, so v2 consumers and disabled-mode exports are untouched. *)
+    rows;
+  add "%s  ],\n" (if rows = [] then "" else "\n");
+  add "  \"counters\": ";
+  obj "    " string_of_int (counters ());
+  add ",\n  \"gauges\": ";
+  obj "    " json_float (gauges ());
+  (* Optional histograms section — "named" are registered [Obs.Histogram]s
+     (values in their own unit), "spans" the per-path duration histograms
+     (nanoseconds).  Omitted entirely when both are empty, so
+     disabled-mode exports are untouched. *)
   let named = histograms () in
-  let spans_h = span_histograms () in
+  let spans_h = histograms_of_rows rows in
   if named <> [] || spans_h <> [] then begin
-    add ",\n  \"histograms\": {\n";
-    add "    \"named\": {";
-    List.iteri
-      (fun i (k, h) ->
-        add "%s\n      \"%s\": %s" (if i = 0 then "" else ",") (json_escape k)
-          (hist_json h))
-      named;
-    add "%s    },\n" (if named = [] then "" else "\n");
-    add "    \"spans\": {";
-    List.iteri
-      (fun i (k, h) ->
-        add "%s\n      \"%s\": %s" (if i = 0 then "" else ",") (json_escape k)
-          (hist_json h))
-      spans_h;
-    add "%s    }\n" (if spans_h = [] then "" else "\n");
-    add "  }"
+    add ",\n  \"histograms\": {\n    \"named\": ";
+    obj "      " hist_json named;
+    add ",\n    \"spans\": ";
+    obj "      " hist_json spans_h;
+    add "\n  }"
   end;
   add "\n}\n";
   Buffer.contents buf
@@ -1188,41 +1043,21 @@ let write_metrics path = write_file path (metrics_json ())
 
 let chrome_trace_json () =
   let t = now () in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{ \"traceEvents\": [\n";
-  add
-    "  { \"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": { \
-     \"name\": \"maxtruss\" } }";
-  let emit n =
-    let ts = (n.s_t0 -. !epoch) *. 1e6 in
-    let dur = node_dur ~t n *. 1e6 in
-    add
-      ",\n  { \"name\": \"%s\", \"cat\": \"maxtruss\", \"ph\": \"X\", \"ts\": %s, \"dur\": \
-       %s, \"pid\": 1, \"tid\": 1"
-      (json_escape n.s_name) (json_float ts) (json_float dur);
-    let args = n.s_args @ List.rev_map (fun (c, r) -> (c.c_name, string_of_int !r)) (List.rev n.s_counters) in
-    if args <> [] then begin
-      add ", \"args\": { ";
-      List.iteri
-        (fun i (k, v) ->
-          (* span args are strings; counter deltas are numeric *)
-          let is_counter = i >= List.length n.s_args in
-          if is_counter then
-            add "%s\"%s\": %s" (if i = 0 then "" else ", ") (json_escape k) v
-          else add "%s\"%s\": \"%s\"" (if i = 0 then "" else ", ") (json_escape k) (json_escape v))
-        args;
-      add " }"
-    end;
-    add " }"
+  let rec walk acc n =
+    let ev =
+      {
+        ev_name = n.s_name;
+        ev_args = n.s_args;
+        ev_counters = List.map (fun (c, r) -> (c.c_name, !r)) n.s_counters;
+        ev_t0 = n.s_t0;
+        ev_dur = node_dur ~t n;
+        ev_tid = 1;
+      }
+    in
+    List.fold_left walk (ev :: acc) (List.rev n.s_children)
   in
-  let rec walk n =
-    emit n;
-    List.iter walk (List.rev n.s_children)
-  in
-  List.iter walk (List.rev (!root_node).s_children);
-  add "\n] }\n";
-  Buffer.contents buf
+  chrome_trace ~process:"maxtruss" ~cat:"maxtruss"
+    (List.rev (List.fold_left walk [] (List.rev (!root_node).s_children)))
 
 let write_chrome_trace path = write_file path (chrome_trace_json ())
 

@@ -8,15 +8,18 @@
     Memory attribution: every span records per-domain GC counter deltas
     over its lifetime (minor/major/promoted words, minor+major
     collections), rolled up inclusively and exclusively exactly like wall
-    time; a GC alarm maintains a peak-major-heap gauge
-    ([gc.peak_major_heap_words]) while collection is on, refreshed by a
+    time.  Word counts are read without allocating (a direct major-heap
+    allocation is charged to the span that made it); collection counts
+    come from [Gc.quick_stat].  A GC alarm maintains a peak-major-heap
+    gauge ([gc.peak_major_heap_words]) while collection is on, refreshed by a
     sampled probe on every 32nd span close so spikes between major cycles
     are caught too (sample count mirrored in [obs.peak_heap_samples]).
 
-    Latency distributions: every completed span additionally feeds a
-    fixed-footprint log-linear histogram ({!Hdr.t}, ~2 significant decimal
-    digits) keyed by its full path, so exports report p50/p90/p99 per path
-    — not just totals.  Free-standing distributions use {!Histogram}.
+    Latency distributions: the exporters build a log-linear histogram
+    ({!Hdr.t}, ~2 significant decimal digits) per span path from the tree's
+    closed occurrences of that path, so they report p50/p90/p99 per path —
+    not just totals.  The span tree is the one record every span export
+    reads.  Free-standing distributions use {!Histogram}.
 
     Overhead contract: everything is off by default.  While disabled,
     [Span.enter]/[Span.exit] with a static name, [Counter.add]/[incr],
@@ -49,11 +52,11 @@ val set_enabled : bool -> unit
     alarm.  Owner-domain only. *)
 
 val reset : unit -> unit
-(** Drop all spans, span-path histograms, and unregister all
-    counters/gauges/histograms (their totals restart from zero on next
-    use).  Does not change the enabled flag, and deliberately does not
-    clear the {!Flight_recorder} ring (a process-lifetime tail).
-    Owner-domain only; must not race in-flight {!Domain_scope}s. *)
+(** Drop all spans and unregister all counters/gauges/histograms (their
+    totals restart from zero on next use).  Does not change the enabled
+    flag, and deliberately does not clear the {!Flight_recorder} ring (a
+    process-lifetime tail).  Owner-domain only; must not race in-flight
+    {!Domain_scope}s. *)
 
 module Span : sig
   type t
@@ -163,9 +166,8 @@ module Domain_scope : sig
 
   val merge : t -> unit
   (** Splice the scope's recorded spans under the owner's innermost open
-      span, feeding their duration histograms now that the final path
-      prefix is known.  Owner domain, post-join; call once per scope, in
-      task order.  Scopes from before the last [reset] are dropped. *)
+      span.  Owner domain, post-join; call once per scope, in task order.
+      Scopes from before the last [reset] are dropped. *)
 end
 
 module Flight_recorder : sig
@@ -215,35 +217,26 @@ module Events : sig
       written to a file configured at startup ([maxtruss-serve
       --event-log]).  Complements the aggregated registry — histograms
       answer "what is p99", the event log answers "which request was slow,
-      against which epoch generation, at which batch position".
-
-      Sampling keeps the log bounded: a seeded per-domain xorshift stream
-      (deterministic under a fixed seed, one single-writer RNG cell per
-      domain like {!Hdr} shards) keeps 1-in-[sample_every] events, and the
-      [slow_ns] threshold forces emission of any request whose execution
-      met it, regardless of sampling.  Line writes are serialized and
-      flushed individually, so a killed process leaves whole lines.
+      against which epoch generation, at which batch position".  Every
+      request is written; line writes are serialized and flushed
+      individually, so a killed process leaves whole lines.
 
       Overhead contract: with no sink configured, {!emit_request} costs a
       single ref load and allocates nothing (covered by the disabled-mode
       zero-alloc test). *)
 
-  val configure : ?sample_every:int -> ?seed:int -> ?slow_ns:int -> string -> unit
+  val configure : string -> unit
   (** Open (truncating) a JSONL sink at the given path and write a
-      self-describing [{"event":"start",...}] header line.  [sample_every]
-      defaults to 1 (every event), [slow_ns] to 0 (no override).  Closes
-      any previous sink first. *)
+      self-describing [{"event":"start",...}] header line.  Closes any
+      previous sink first. *)
 
   val close : unit -> unit
   (** Flush and close the sink; further emits are no-ops. *)
 
   val active : unit -> bool
 
-  val seen : unit -> int
-  (** Events offered since {!configure} (sampled or not). *)
-
   val written : unit -> int
-  (** Lines actually written (excluding the header). *)
+  (** Request lines written since {!configure} (excluding the header). *)
 
   val emit_request :
     op:string ->
@@ -256,7 +249,7 @@ module Events : sig
     batch_pos:int ->
     ok:bool ->
     unit
-  (** Offer one request event.  [id], when present, must be a rendered
+  (** Write one request event.  [id], when present, must be a rendered
       JSON literal (e.g. ["\"abc\""] or ["7"]) and is embedded verbatim.
       Safe from any domain. *)
 end
@@ -272,9 +265,10 @@ type span_stat = {
   total_s : float;  (** inclusive wall-clock seconds, summed over [count] *)
   self_s : float;  (** exclusive: [total_s] minus the children's [total_s] *)
   p50_s : float;
-      (** median single-occurrence duration, from the path's log-linear
-          histogram (quantized ≤ 1 % high); open-only paths fall back to a
-          transient histogram over the live durations *)
+      (** median single-occurrence duration, from the log-linear histogram
+          of the path's closed occurrences (quantized up, never below the
+          true value); a path with none closed uses all of them, measured
+          up to now *)
   p90_s : float;
   p99_s : float;
   alloc_w : float;
@@ -303,8 +297,8 @@ val histograms : unit -> (string * Hdr.t) list
 (** Registered histograms sorted by name, as merged snapshots. *)
 
 val span_histograms : unit -> (string * Hdr.t) list
-(** Per-span-path duration histograms (nanoseconds) sorted by path, as
-    copies. *)
+(** Duration histograms (nanoseconds) of each span path's closed
+    occurrences, sorted by path; paths with none closed are absent. *)
 
 (** {2 Exporters} *)
 
@@ -324,7 +318,8 @@ val write_metrics : string -> unit
 
 val chrome_trace_json : unit -> string
 (** [{"traceEvents": [...]}] with one complete ("ph":"X") event per span
-    occurrence; timestamps are microseconds since the trace epoch. *)
+    occurrence; timestamps are microseconds since the trace epoch.  Same
+    renderer as {!Flight_recorder.dump_json}. *)
 
 val write_chrome_trace : string -> unit
 

@@ -10,24 +10,13 @@ type entry = {
   mad_ns : float;
   samples : int;
   alloc_w : float;
-  tol : float option;
 }
 
-type t = {
-  entries : entry list;  (* the current (most recent) run *)
-  history : entry list list;  (* previous runs, oldest first; excludes entries *)
-}
+type t = { entries : entry list }
 
 let schema_name = "maxtruss-perf-baseline"
 
-(* v2 adds the optional per-entry "tol" override and gates on alloc_w; v3
-   adds the bounded "history" of previous runs so the gate can compare
-   against a trend instead of one snapshot.  v1 files (no "tol" anywhere)
-   and v2 files (no "history") are still read, defaulting the override to
-   the comparator's global tolerance and the history to empty. *)
 let schema_version = 3
-
-let default_history_limit = 8
 
 (* --- robust statistics -------------------------------------------------- *)
 
@@ -47,39 +36,18 @@ let mad xs =
     median (Array.map (fun x -> Float.abs (x -. m)) xs)
   end
 
-let of_samples ?tol ~name ~ns ~alloc_w () =
+let of_samples ~name ~ns ~alloc_w =
   {
     name;
     median_ns = median ns;
     mad_ns = mad ns;
     samples = Array.length ns;
     alloc_w = median alloc_w;
-    tol;
   }
 
 (* --- file format -------------------------------------------------------- *)
 
 let fnum f = if Float.is_finite f then Printf.sprintf "%.3f" f else "0"
-
-let entry_json ~indent e =
-  Printf.sprintf
-    "%s{ \"name\": \"%s\", \"median_ns\": %s, \"mad_ns\": %s, \"samples\": %d, \
-     \"alloc_w\": %s%s }"
-    indent
-    (Json_min.escape e.name) (fnum e.median_ns) (fnum e.mad_ns) e.samples
-    (fnum e.alloc_w)
-    (match e.tol with
-    | None -> ""
-    | Some tol -> Printf.sprintf ", \"tol\": %s" (fnum tol))
-
-let entries_json buf ~indent entries =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "[";
-  List.iteri
-    (fun i e -> add "%s\n%s" (if i = 0 then "" else ",") (entry_json ~indent e))
-    entries;
-  if entries <> [] then add "\n%s" (String.sub indent 0 (String.length indent - 2));
-  add "]"
 
 let to_json t =
   let buf = Buffer.create 1024 in
@@ -87,20 +55,16 @@ let to_json t =
   add "{\n";
   add "  \"schema\": \"%s\",\n" schema_name;
   add "  \"version\": %d,\n" schema_version;
-  add "  \"entries\": ";
-  entries_json buf ~indent:"    " t.entries;
-  (* "history" is omitted when empty so a freshly recorded file stays in
-     the familiar single-run shape. *)
-  if t.history <> [] then begin
-    add ",\n  \"history\": [";
-    List.iteri
-      (fun i run ->
-        add "%s\n    " (if i = 0 then "" else ",");
-        entries_json buf ~indent:"      " run)
-      t.history;
-    add "\n  ]"
-  end;
-  add "\n}\n";
+  add "  \"entries\": [";
+  List.iteri
+    (fun i e ->
+      add
+        "%s\n    { \"name\": \"%s\", \"median_ns\": %s, \"mad_ns\": %s, \"samples\": %d, \
+         \"alloc_w\": %s }"
+        (if i = 0 then "" else ",")
+        (Json_min.escape e.name) (fnum e.median_ns) (fnum e.mad_ns) e.samples (fnum e.alloc_w))
+    t.entries;
+  add "%s]\n}\n" (if t.entries = [] then "" else "\n  ");
   Buffer.contents buf
 
 let of_json s =
@@ -111,26 +75,21 @@ let of_json s =
     | Some (Some schema), _ when schema <> schema_name ->
       Error (Printf.sprintf "schema mismatch: expected %S, got %S" schema_name schema)
     | None, _ | Some None, _ -> Error "schema mismatch: missing \"schema\" field"
-    | _, v
-      when (let ver = Json_min.num_or (-1.) v in
-            ver < 1.
-            || ver > float_of_int schema_version
-            || Float.rem ver 1. <> 0.) ->
+    | _, v when Json_min.num_or (-1.) v <> float_of_int schema_version ->
       Error
-        (Printf.sprintf "schema version mismatch: expected 1..%d, got %g" schema_version
+        (Printf.sprintf "schema version mismatch: expected %d, got %g" schema_version
            (Json_min.num_or (-1.) v))
     | _ -> (
       match Json_min.(member "entries" j |> Option.map to_arr) with
-      | Some (Some items) -> (
-        (* Every malformed entry reports one line of context: which run
-           ([ctx]), which kernel (name, or position when the name itself
-           is missing) and which field.  Fields absent entirely still
-           default (v1/v2 compatibility); fields present with the wrong
-           type are an error, not a silent zero. *)
-        let parse_entry ~ctx i it =
+      | Some (Some items) ->
+        (* Every malformed entry reports one line of context: which kernel
+           (name, or position when the name itself is missing) and which
+           field.  Absent numeric fields default; fields present with the
+           wrong type are an error, not a silent zero. *)
+        let parse_entry i it =
           match Json_min.(member "name" it |> Option.map to_str) with
           | None | Some None ->
-            Error (Printf.sprintf "%sentry %d: missing or non-string \"name\" field" ctx (i + 1))
+            Error (Printf.sprintf "entry %d: missing or non-string \"name\" field" (i + 1))
           | Some (Some name) -> (
             let num ~default field =
               match Json_min.member field it with
@@ -138,60 +97,23 @@ let of_json s =
               | Some v -> (
                 match Json_min.to_num v with
                 | Some n -> Ok n
-                | None ->
-                  Error
-                    (Printf.sprintf "%skernel %S: field %S is not a number" ctx name field))
+                | None -> Error (Printf.sprintf "kernel %S: field %S is not a number" name field))
             in
             let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
             let* median_ns = num ~default:0. "median_ns" in
             let* mad_ns = num ~default:0. "mad_ns" in
             let* samples = num ~default:1. "samples" in
             let* alloc_w = num ~default:0. "alloc_w" in
-            match Json_min.member "tol" it with
-            | Some v when Json_min.to_num v = None ->
-              Error (Printf.sprintf "%skernel %S: field \"tol\" is not a number" ctx name)
-            | tol ->
-              Ok
-                {
-                  name;
-                  median_ns;
-                  mad_ns;
-                  samples = int_of_float samples;
-                  alloc_w;
-                  tol = Option.bind tol Json_min.to_num;
-                })
+            Ok { name; median_ns; mad_ns; samples = int_of_float samples; alloc_w })
         in
-        let parse_run ~ctx items =
-          let rec go i acc = function
-            | [] -> Ok (List.rev acc)
-            | it :: rest -> (
-              match parse_entry ~ctx i it with
-              | Ok e -> go (i + 1) (e :: acc) rest
-              | Error _ as e -> e)
-          in
-          go 0 [] items
+        let rec go i acc = function
+          | [] -> Ok { entries = List.rev acc }
+          | it :: rest -> (
+            match parse_entry i it with
+            | Ok e -> go (i + 1) (e :: acc) rest
+            | Error _ as e -> e)
         in
-        match parse_run ~ctx:"" items with
-        | Error _ as e -> e
-        | Ok entries -> (
-          match Json_min.member "history" j with
-          | None -> Ok { entries; history = [] }
-          | Some hj -> (
-            match Json_min.to_arr hj with
-            | None -> Error "baseline \"history\" is not an array"
-            | Some runs ->
-              let rec go i acc = function
-                | [] -> Ok { entries; history = List.rev acc }
-                | run :: rest -> (
-                  let ctx = Printf.sprintf "history run %d: " (i + 1) in
-                  match Json_min.to_arr run with
-                  | None -> Error (Printf.sprintf "history run %d: not an array" (i + 1))
-                  | Some items -> (
-                    match parse_run ~ctx items with
-                    | Ok es -> go (i + 1) (es :: acc) rest
-                    | Error _ as e -> e))
-              in
-              go 0 [] runs)))
+        go 0 [] items
       | _ -> Error "baseline without an \"entries\" array"))
 
 let write path t =
@@ -203,48 +125,6 @@ let read path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | contents -> of_json contents
-
-(* --- history ------------------------------------------------------------ *)
-
-(* Keep the last [n] elements of [l] (which is oldest-first). *)
-let keep_last n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
-
-let push ?(limit = default_history_limit) t ~fresh =
-  let limit = max 0 limit in
-  {
-    entries = fresh.entries;
-    history = keep_last limit (t.history @ [ t.entries ]);
-  }
-
-(* Trend baseline across history @ [entries]: per kernel, the median of the
-   per-run medians and the median of the per-run MADs (so one outlier run —
-   a descheduled CI box — moves the gate by at most one rank), with
-   samples/tol taken from the most recent run that has the kernel.  Kernels
-   absent from the latest run but present in old history are dropped: the
-   comparator would otherwise report long-deleted kernels as Removed
-   forever. *)
-let trend t =
-  let runs = t.history @ [ t.entries ] in
-  let entries =
-    List.map
-      (fun latest ->
-        let occurrences =
-          List.filter_map
-            (fun run -> List.find_opt (fun e -> e.name = latest.name) run)
-            runs
-        in
-        let arr f = Array.of_list (List.map f occurrences) in
-        {
-          latest with
-          median_ns = median (arr (fun e -> e.median_ns));
-          mad_ns = median (arr (fun e -> e.mad_ns));
-          alloc_w = median (arr (fun e -> e.alloc_w));
-        })
-      t.entries
-  in
-  { entries; history = [] }
 
 (* --- comparison --------------------------------------------------------- *)
 
@@ -265,7 +145,9 @@ type delta = {
    nothing would otherwise flake on a handful of incidental words. *)
 let alloc_floor_w = 4096.
 
-let compare ?(rel_tol = 0.25) ?(mad_k = 5.0) ?(alloc_tol = 0.5) ~baseline ~fresh () =
+let alloc_tol = 0.5
+
+let compare ?(rel_tol = 0.25) ?(mad_k = 5.0) ~baseline ~fresh () =
   let fresh_tbl = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace fresh_tbl e.name e) fresh.entries;
   let matched =
@@ -285,7 +167,6 @@ let compare ?(rel_tol = 0.25) ?(mad_k = 5.0) ?(alloc_tol = 0.5) ~baseline ~fresh
           }
         | Some fe ->
           Hashtbl.remove fresh_tbl be.name;
-          let rel_tol = Option.value be.tol ~default:rel_tol in
           let threshold =
             Float.max (rel_tol *. be.median_ns) (mad_k *. be.mad_ns)
           in

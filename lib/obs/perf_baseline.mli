@@ -6,16 +6,7 @@
     count, and the median allocation per run — enough to make a later run
     comparable without assuming anything about the noise distribution.
     [bench/main.exe --record FILE] writes one; [--check FILE] compares a
-    fresh run against it and fails on regressions (see {!compare}).
-
-    Version 2 adds an optional per-entry ["tol"] field that overrides the
-    comparator's global relative tolerance for that kernel (noisy kernels
-    can carry a looser gate without loosening the whole suite), and the
-    comparator now also gates on [alloc_w].  Version 3 adds an optional
-    bounded ["history"] of previous runs, letting [--check] gate against
-    the {!trend} across them instead of a single (possibly lucky)
-    snapshot.  Version-1 and -2 files are still read; their entries simply
-    have no override / no history. *)
+    fresh run against it and fails on regressions (see {!compare}). *)
 
 type entry = {
   name : string;  (** kernel id, e.g. ["kernels/csr_support\@gowalla"] *)
@@ -24,23 +15,13 @@ type entry = {
   samples : int;  (** how many Bechamel samples the statistics summarize *)
   alloc_w : float;
       (** median words allocated per run (minor + major - promoted) *)
-  tol : float option;
-      (** per-kernel relative tolerance overriding {!compare}'s [rel_tol] *)
 }
 
-type t = {
-  entries : entry list;  (** the current (most recent) run *)
-  history : entry list list;
-      (** previous runs, oldest first, bounded by {!push}'s [limit];
-          does not include [entries] *)
-}
+type t = { entries : entry list }
 
 val schema_name : string
 
 val schema_version : int
-
-val default_history_limit : int
-(** How many previous runs {!push} retains by default (8). *)
 
 (** {2 Robust statistics} *)
 
@@ -50,47 +31,28 @@ val median : float array -> float
 val mad : float array -> float
 (** Median absolute deviation from the median; [0.] on the empty array. *)
 
-val of_samples : ?tol:float -> name:string -> ns:float array -> alloc_w:float array -> unit -> entry
-(** Summarize per-sample measurements into a baseline entry.  [tol] is the
-    optional per-kernel tolerance override carried into the file. *)
+val of_samples : name:string -> ns:float array -> alloc_w:float array -> entry
+(** Summarize per-sample measurements into a baseline entry. *)
 
 (** {2 File format} *)
 
 val to_json : t -> string
 
 val of_json : string -> (t, string) result
-(** Rejects a wrong [schema] and any [version] outside [1..schema_version]
-    (mismatch is an [Error], never a silent best-effort parse).  Version-1
-    files parse with [tol = None] on every entry.
+(** Rejects a wrong [schema] and any [version] other than
+    {!schema_version} (mismatch is an [Error], never a silent best-effort
+    parse).
 
     A malformed entry is a one-line [Error] naming the offending kernel
-    and field — e.g. [history run 2: kernel "decompose": field "mad_ns" is
-    not a number] — rather than a silent default; fields that are absent
-    entirely still default for v1/v2 compatibility. *)
+    and field — e.g. [kernel "decompose": field "mad_ns" is not a number]
+    — rather than a silent default; numeric fields that are absent
+    entirely default to zero (one sample for [samples]). *)
 
 val write : string -> t -> unit
 (** May raise [Sys_error]; drivers catch it and exit 1. *)
 
 val read : string -> (t, string) result
 (** File read + {!of_json}; I/O failures are returned as [Error]. *)
-
-(** {2 History} *)
-
-val push : ?limit:int -> t -> fresh:t -> t
-(** [push t ~fresh] is the baseline after recording a new run on top of
-    [t]: [fresh.entries] become the current entries, [t.entries] joins the
-    history, and the history is trimmed to its last [limit]
-    (default {!default_history_limit}) runs.  [fresh.history] is
-    ignored. *)
-
-val trend : t -> t
-(** Collapse [history @ [entries]] into a single-run baseline: per kernel
-    (keyed by the current entries — kernels no longer benched are
-    dropped), the median of the per-run medians, the median of the
-    per-run MADs and the median of the per-run allocations, with
-    [samples]/[tol] from the latest run.  This is what [--check] compares
-    against when the baseline carries history: one outlier run shifts the
-    gate by at most one rank. *)
 
 (** {2 Comparison} *)
 
@@ -117,10 +79,12 @@ val alloc_floor_w : float
 (** Absolute floor of the allocation gate (words): a fresh median must
     exceed baseline + max(alloc_tol * baseline, this floor) to regress. *)
 
+val alloc_tol : float
+(** Relative tolerance of the allocation gate (0.5). *)
+
 val compare :
   ?rel_tol:float ->
   ?mad_k:float ->
-  ?alloc_tol:float ->
   baseline:t ->
   fresh:t ->
   unit ->
@@ -128,16 +92,15 @@ val compare :
 (** One delta per kernel in either input (baseline order first, then fresh
     additions).  A kernel's time regresses iff
 
-    {[ fresh_median > base_median + max (tol * base_median) (mad_k * base_mad) ]}
+    {[ fresh_median > base_median + max (rel_tol * base_median) (mad_k * base_mad) ]}
 
-    where [tol] is the entry's own override when present, [rel_tol]
-    otherwise — and improves symmetrically; the MAD term stops noisy
-    kernels from flaking, the relative term stops zero-MAD kernels from
-    tripping on scheduler jitter.  Its allocation regresses iff
+    and improves symmetrically; the MAD term stops noisy kernels from
+    flaking, the relative term stops zero-MAD kernels from tripping on
+    scheduler jitter.  Its allocation regresses iff
 
     {[ fresh_alloc > base_alloc + max (alloc_tol * base_alloc) alloc_floor_w ]}
 
-    Defaults: [rel_tol = 0.25], [mad_k = 5.0], [alloc_tol = 0.5]. *)
+    Defaults: [rel_tol = 0.25], [mad_k = 5.0]. *)
 
 val regressions : delta list -> delta list
 (** Deltas failing either gate: time [Regression] or [d_alloc_regression]. *)

@@ -3,39 +3,38 @@ open Graphcore
 type t = {
   graph : Graph.t;
   csr : Csr.t;
-  dec : Truss.Decompose.t;
-  index : Truss.Index.t;
+  index : Truss.Index.t;  (* holds the decomposition too *)
   generation : int;
   onion_memo : (int, (Edge_key.t * int) list * int) Hashtbl.t;
   memo_lock : Mutex.t;
 }
 
-let make ~graph ~csr ~dec ~index ~generation =
-  { graph; csr; dec; index; generation; onion_memo = Hashtbl.create 4; memo_lock = Mutex.create () }
+let make ~graph ~csr ~index ~generation =
+  { graph; csr; index; generation; onion_memo = Hashtbl.create 4; memo_lock = Mutex.create () }
 
 let create ?(generation = 0) g =
   Obs.Span.with_ "service.epoch_build" (fun () ->
       let graph = Graph.copy g in
       let csr = Csr.of_graph graph in
-      let dec = Truss.Decompose.of_csr csr in
-      let index = Truss.Index.build dec in
-      make ~graph ~csr ~dec ~index ~generation)
+      let index = Truss.Index.build (Truss.Decompose.of_csr csr) in
+      make ~graph ~csr ~index ~generation)
 
 let graph t = t.graph
 let csr t = t.csr
-let decompose t = t.dec
+let decompose t = Truss.Index.decompose t.index
 let index t = t.index
 let generation t = t.generation
 let num_nodes t = Csr.num_nodes t.csr
 let num_edges t = Csr.num_edges t.csr
-let kmax t = Truss.Decompose.kmax t.dec
+let kmax t = Truss.Index.kmax t.index
 
 let compute_onion t ~k =
-  let candidates = Truss.Decompose.k_class t.dec (k - 1) in
+  let dec = decompose t in
+  let candidates = Truss.Decompose.k_class dec (k - 1) in
   match candidates with
   | [] -> ([], 0)
   | _ ->
-    let backdrop = Truss.Decompose.truss_edge_table t.dec k in
+    let backdrop = Truss.Decompose.truss_edge_table dec k in
     let h = Truss.Onion.build_h ~g:t.graph ~backdrop ~candidates in
     let res = Truss.Onion.peel ~h ~k ~candidates () in
     let layers =

@@ -18,17 +18,12 @@ val create : ?generation:int -> Graph.t -> t
     never retained), builds the CSR snapshot, runs a full decomposition and
     builds the index.  [generation] defaults to 0. *)
 
-val make :
-  graph:Graph.t ->
-  csr:Csr.t ->
-  dec:Truss.Decompose.t ->
-  index:Truss.Index.t ->
-  generation:int ->
-  t
+val make : graph:Graph.t -> csr:Csr.t -> index:Truss.Index.t -> generation:int -> t
 (** Assemble an epoch from parts the caller has already built (the
     mutation log's incremental path).  Ownership of [graph] transfers to
-    the epoch: the caller must never mutate it afterwards, and [csr],
-    [dec] and [index] must all describe exactly [graph]'s edge set. *)
+    the epoch: the caller must never mutate it afterwards, and [csr] and
+    [index] (with the decomposition it holds) must both describe exactly
+    [graph]'s edge set. *)
 
 val graph : t -> Graph.t
 (** The epoch's graph.  {b Read-only:} mutating it corrupts every reader
@@ -38,7 +33,11 @@ val graph : t -> Graph.t
     hashtable order of the graph it is handed. *)
 
 val csr : t -> Csr.t
+
 val decompose : t -> Truss.Decompose.t
+(** The decomposition the index was built from ({!Truss.Index.decompose}):
+    an epoch holds one trussness table. *)
+
 val index : t -> Truss.Index.t
 val generation : t -> int
 val num_nodes : t -> int

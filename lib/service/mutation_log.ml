@@ -89,7 +89,7 @@ let apply ?(config = default_config) store ops =
                 (* Pure no-op batch: share every structure, just restamp. *)
                 let e =
                   Epoch.make ~graph:(Epoch.graph epoch) ~csr:(Epoch.csr epoch)
-                    ~dec:(Epoch.decompose epoch) ~index:(Epoch.index epoch) ~generation
+                    ~index:(Epoch.index epoch) ~generation
                 in
                 (e, false, 0, 0)
               else begin
@@ -103,9 +103,8 @@ let apply ?(config = default_config) store ops =
                   let e =
                     Obs.Span.with_ "service.full_rebuild" (fun () ->
                         let csr = Csr.of_graph graph in
-                        let dec = Truss.Decompose.of_csr csr in
-                        let index = Truss.Index.build dec in
-                        Epoch.make ~graph ~csr ~dec ~index ~generation)
+                        let index = Truss.Index.build (Truss.Decompose.of_csr csr) in
+                        Epoch.make ~graph ~csr ~index ~generation)
                   in
                   (e, true, 0, 0)
                 end
@@ -116,12 +115,11 @@ let apply ?(config = default_config) store ops =
                       ~tau:(Truss.Decompose.trussness_opt dec0)
                       ~kmax:(Truss.Decompose.kmax dec0) ~inserted:ins ~deleted:del
                   in
-                  let dec = Truss.Decompose.patched dec0 ~changes:r.Truss.Maintain.changes in
                   let index =
                     Truss.Index.of_deltas (Epoch.index epoch) ~changes:r.Truss.Maintain.changes
                   in
                   let csr = Csr.of_graph graph in
-                  let e = Epoch.make ~graph ~csr ~dec ~index ~generation in
+                  let e = Epoch.make ~graph ~csr ~index ~generation in
                   (e, false, r.Truss.Maintain.levels, r.Truss.Maintain.region_edges)
                 end
               end

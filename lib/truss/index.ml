@@ -1,51 +1,34 @@
 open Graphcore
 
 type t = {
+  dec : Decompose.t;  (** the decomposition the index was built from, shared *)
   edges : Edge_key.t array;  (** sorted by trussness descending *)
-  tau_of : (Edge_key.t, int) Hashtbl.t;
   offsets : int array;  (** offsets.(k) = number of edges with tau >= k *)
   kmax : int;
 }
 
-(* Shared constructor: freeze a trussness table into the sorted-array /
-   offset representation.  [kmax] must be the maximum value in the table
-   (0 when empty). *)
-let of_table tau_of ~kmax =
-  let n = Hashtbl.length tau_of in
-  let pairs = Array.make (max n 1) (0, 0) in
+(* Freeze the decomposition's trussness into the sorted-array / offset
+   representation; the table itself stays in [dec]. *)
+let build dec =
+  let pairs = Array.make (Decompose.num_edges dec) (0, 0) in
   let i = ref 0 in
-  Hashtbl.iter
-    (fun key tau ->
+  Decompose.iter dec (fun key tau ->
       pairs.(!i) <- (tau, key);
-      incr i)
-    tau_of;
-  let pairs = if n = 0 then [||] else pairs in
+      incr i);
   Array.sort (fun (t1, k1) (t2, k2) ->
       match Int.compare t2 t1 with 0 -> Edge_key.compare k1 k2 | c -> c)
     pairs;
+  let kmax = Decompose.kmax dec in
   let offsets = Array.make (kmax + 2) 0 in
   (* count edges with tau >= k: sweep the sorted array *)
   Array.iter (fun (tau, _) -> for k = 2 to min tau (kmax + 1) do offsets.(k) <- offsets.(k) + 1 done) pairs;
-  { edges = Array.map snd pairs; tau_of; offsets; kmax }
+  { dec; edges = Array.map snd pairs; offsets; kmax }
 
-let build dec =
-  let n = Decompose.num_edges dec in
-  let tau_of = Hashtbl.create (max n 1) in
-  Decompose.iter dec (fun key tau -> Hashtbl.replace tau_of key tau);
-  of_table tau_of ~kmax:(Decompose.kmax dec)
+let of_deltas t ~changes = build (Decompose.patched t.dec ~changes)
 
-let of_deltas t ~changes =
-  let tau_of = Hashtbl.copy t.tau_of in
-  List.iter
-    (fun (key, change) ->
-      match change with
-      | Some tau -> Hashtbl.replace tau_of key tau
-      | None -> Hashtbl.remove tau_of key)
-    changes;
-  let kmax = Hashtbl.fold (fun _ tau acc -> max tau acc) tau_of 0 in
-  of_table tau_of ~kmax
+let decompose t = t.dec
 
-let trussness t key = Hashtbl.find_opt t.tau_of key
+let trussness t key = Decompose.trussness_opt t.dec key
 
 let kmax t = t.kmax
 

@@ -10,16 +10,21 @@ open Graphcore
 type t
 
 val build : Decompose.t -> t
+(** Sorts the decomposition's edges by trussness.  The index keeps [dec]
+    itself (no copy of its trussness table); {!trussness} reads it. *)
 
 val of_deltas : t -> changes:(Edge_key.t * int option) list -> t
-(** Patched copy of the index: [(key, Some tau)] sets the edge's trussness
-    (inserting it when new), [(key, None)] removes the edge; [t] itself is
-    untouched.  [kmax] and the per-k offsets are recomputed from the
-    patched table, so the result answers every query exactly as
-    [build (Decompose.run g')] on the updated graph would — provided the
-    deltas came from a correct maintenance pass ({!Maintain}).  Cost is
-    O(m log m) for the resort — independent of how expensive the peeling
-    the deltas replaced would have been. *)
+(** [build (Decompose.patched (decompose t) ~changes)]: [(key, Some tau)]
+    sets the edge's trussness (inserting it when new), [(key, None)]
+    removes the edge; [t] itself is untouched.  The result answers every
+    query exactly as [build (Decompose.run g')] on the updated graph would
+    — provided the deltas came from a correct maintenance pass
+    ({!Maintain}).  Cost is one table copy plus O(m log m) for the resort
+    — independent of how expensive the peeling the deltas replaced would
+    have been. *)
+
+val decompose : t -> Decompose.t
+(** The decomposition the index was built from. *)
 
 val trussness : t -> Edge_key.t -> int option
 

@@ -66,6 +66,17 @@ let test_gtm_golden_sample () =
     sorted;
   Alcotest.(check int) "score" 136 o.Outcome.score
 
+(* A pair can sit in the candidate pools of several components; GTM must
+   commit it once, so a b = 60 plan holds 60 distinct pairs. *)
+let test_gtm_distinct_pairs () =
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  let o = Baselines.gtm ~g ~k:6 ~budget:60 () in
+  let keys =
+    List.sort_uniq compare (List.map (fun (u, v) -> Edge_key.make u v) o.Outcome.inserted)
+  in
+  Alcotest.(check int) "plan length" 60 (List.length o.Outcome.inserted);
+  Alcotest.(check int) "distinct pairs" 60 (List.length keys)
+
 let test_gtm_respects_time_limit () =
   let g = small_social () in
   let t0 = Unix.gettimeofday () in
@@ -95,6 +106,7 @@ let suite =
     Alcotest.test_case "CBTM revenues are binary" `Quick test_cbtm_revenues_single_pair;
     Alcotest.test_case "GTM on fig1" `Quick test_gtm_fig1;
     Alcotest.test_case "GTM golden plan on gowalla-sample" `Quick test_gtm_golden_sample;
+    Alcotest.test_case "GTM commits each pair once" `Quick test_gtm_distinct_pairs;
     Alcotest.test_case "GTM time limit" `Quick test_gtm_respects_time_limit;
     Alcotest.test_case "ordering on small social" `Slow test_ordering_on_small_social;
   ]

@@ -15,6 +15,10 @@ let () =
   | Some dump -> Test_obs.flight_recorder_usr1_child dump
   | None -> ()
 
+(* And for the GC-safety test: the child runs a span-heavy loop with
+   collection on and must exit 0 under the minor-heap size it was given. *)
+let () = if Sys.getenv_opt "MAXTRUSS_GC_CHILD" <> None then Test_obs.gc_safety_child ()
+
 (* CI post-mortem: MAXTRUSS_FLIGHT_RECORD=N arms the flight recorder for
    the whole suite run, so a hung or killed CI job leaves a Chrome-trace
    tail (flight-record.json) that the workflow uploads as an artifact. *)

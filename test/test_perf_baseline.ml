@@ -26,36 +26,27 @@ let test_median_mad () =
 let test_of_samples () =
   let e =
     Perf_baseline.of_samples ~name:"k" ~ns:[| 5.; 1.; 3.; 2.; 4. |]
-      ~alloc_w:[| 10.; 30.; 20. |] ()
+      ~alloc_w:[| 10.; 30.; 20. |]
   in
   Alcotest.(check string) "name" "k" e.Perf_baseline.name;
   check_feq "median_ns" 3. e.Perf_baseline.median_ns;
   check_feq "mad_ns" 1. e.Perf_baseline.mad_ns;
   Alcotest.(check int) "samples" 5 e.Perf_baseline.samples;
-  check_feq "alloc median" 20. e.Perf_baseline.alloc_w;
-  Alcotest.(check bool) "no tol by default" true (e.Perf_baseline.tol = None)
+  check_feq "alloc median" 20. e.Perf_baseline.alloc_w
 
 (* --- file format --- *)
 
-let entry ?tol name median mad samples alloc =
-  {
-    Perf_baseline.name;
-    median_ns = median;
-    mad_ns = mad;
-    samples;
-    alloc_w = alloc;
-    tol;
-  }
+let entry name median mad samples alloc =
+  { Perf_baseline.name; median_ns = median; mad_ns = mad; samples; alloc_w = alloc }
 
-(* Single-run baseline (no history); what --record used to write. *)
-let mk entries = { Perf_baseline.entries; history = [] }
+let mk entries = { Perf_baseline.entries }
 
 let test_roundtrip () =
   let t =
     mk
         [
           entry "kernels/csr_support@gowalla" 5080822.112 1234.5 180 98765.;
-          entry ~tol:0.6 "kernels/noisy_kernel@gowalla" 100. 40. 12 5000.;
+          entry "kernels/noisy_kernel@gowalla" 100. 40. 12 5000.;
           entry "odd \"name\" with\\escapes" 1.25 0. 5 0.;
         ]
   in
@@ -72,29 +63,8 @@ let test_roundtrip () =
         check_feq ~eps:1e-3 "median" a.Perf_baseline.median_ns b.Perf_baseline.median_ns;
         check_feq ~eps:1e-3 "mad" a.Perf_baseline.mad_ns b.Perf_baseline.mad_ns;
         Alcotest.(check int) "samples" a.Perf_baseline.samples b.Perf_baseline.samples;
-        check_feq ~eps:1e-3 "alloc" a.Perf_baseline.alloc_w b.Perf_baseline.alloc_w;
-        (match (a.Perf_baseline.tol, b.Perf_baseline.tol) with
-        | None, None -> ()
-        | Some x, Some y -> check_feq ~eps:1e-3 "tol" x y
-        | _ -> Alcotest.failf "tol lost in roundtrip for %s" a.Perf_baseline.name))
+        check_feq ~eps:1e-3 "alloc" a.Perf_baseline.alloc_w b.Perf_baseline.alloc_w)
       t.Perf_baseline.entries t'.Perf_baseline.entries
-
-(* Version-1 files (no "tol" fields) must still parse. *)
-let test_v1_compat () =
-  match
-    Perf_baseline.of_json
-      "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 1, \"entries\": [\n\
-      \  { \"name\": \"k\", \"median_ns\": 10.5, \"mad_ns\": 1.0, \"samples\": 7, \
-       \"alloc_w\": 128 } ] }"
-  with
-  | Error e -> Alcotest.failf "v1 parse failed: %s" e
-  | Ok t ->
-    (match t.Perf_baseline.entries with
-    | [ e ] ->
-      Alcotest.(check string) "name" "k" e.Perf_baseline.name;
-      check_feq "median" 10.5 e.Perf_baseline.median_ns;
-      Alcotest.(check bool) "tol defaults to None" true (e.Perf_baseline.tol = None)
-    | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l))
 
 let expect_error msg = function
   | Ok _ -> Alcotest.failf "%s: expected an error" msg
@@ -104,13 +74,22 @@ let test_schema_rejection () =
   expect_error "version mismatch"
     (Perf_baseline.of_json
        "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 99, \"entries\": []}");
+  (* only the current schema version is read *)
+  List.iter
+    (fun v ->
+      expect_error
+        (Printf.sprintf "version %d rejected" v)
+        (Perf_baseline.of_json
+           (Printf.sprintf
+              "{\"schema\": \"maxtruss-perf-baseline\", \"version\": %d, \"entries\": []}" v)))
+    [ 1; 2 ];
   expect_error "wrong schema name"
     (Perf_baseline.of_json
-       "{\"schema\": \"something-else\", \"version\": 1, \"entries\": []}");
+       "{\"schema\": \"something-else\", \"version\": 3, \"entries\": []}");
   expect_error "missing schema" (Perf_baseline.of_json "{\"entries\": []}");
   expect_error "not json" (Perf_baseline.of_json "not json at all");
   expect_error "missing entries"
-    (Perf_baseline.of_json "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 1}");
+    (Perf_baseline.of_json "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 3}");
   expect_error "unreadable file" (Perf_baseline.read "/nonexistent/path/baseline.json")
 
 (* --- comparator --- *)
@@ -180,19 +159,6 @@ let test_compare_thresholds () =
   Alcotest.check vd "outside MAD band" Perf_baseline.Regression (verdict 1501.);
   Alcotest.check vd "improved outside band" Perf_baseline.Improvement (verdict 400.)
 
-let test_tol_override () =
-  (* The entry's own tolerance widens its band without touching siblings. *)
-  let baseline =
-    mk [ entry ~tol:1.0 "loose" 100. 0. 9 0.; entry "strict" 100. 0. 9 0. ]
-  in
-  let fresh =
-    mk [ entry "loose" 190. 0. 9 0.; entry "strict" 190. 0. 9 0. ]
-  in
-  let deltas = Perf_baseline.compare ~rel_tol:0.25 ~mad_k:5.0 ~baseline ~fresh () in
-  Alcotest.check vd "loose kernel within its own tol" Perf_baseline.Unchanged
-    (verdict_of deltas "loose");
-  Alcotest.check vd "strict kernel regresses at global tol" Perf_baseline.Regression
-    (verdict_of deltas "strict")
 
 let test_alloc_gate () =
   let delta_of deltas name =
@@ -218,123 +184,10 @@ let test_alloc_gate () =
   Alcotest.(check (list string))
     "regressions include alloc-only failures" [ "big" ]
     (List.map (fun d -> d.Perf_baseline.d_name) (Perf_baseline.regressions deltas));
-  (* a looser alloc_tol waves the same delta through *)
-  let relaxed = Perf_baseline.compare ~alloc_tol:1.5 ~baseline ~fresh () in
-  Alcotest.(check int) "alloc_tol relaxes the gate" 0
-    (List.length (Perf_baseline.regressions relaxed))
-
-(* --- v3 history --- *)
-
-let test_push_and_trim () =
-  let run i = [ entry "k" (float_of_int (100 * i)) 1. 9 10. ] in
-  let t0 = mk (run 1) in
-  let t1 = Perf_baseline.push t0 ~fresh:(mk (run 2)) in
-  Alcotest.(check int) "first push keeps one historical run" 1
-    (List.length t1.Perf_baseline.history);
-  check_feq "entries are the fresh run" 200.
-    (List.hd t1.Perf_baseline.entries).Perf_baseline.median_ns;
-  check_feq "history holds the previous run" 100.
-    (List.hd (List.hd t1.Perf_baseline.history)).Perf_baseline.median_ns;
-  (* push with a small limit: oldest runs fall off the front *)
-  let t =
-    List.fold_left
-      (fun acc i -> Perf_baseline.push ~limit:3 acc ~fresh:(mk (run i)))
-      t0
-      [ 2; 3; 4; 5; 6 ]
-  in
-  Alcotest.(check int) "history bounded by limit" 3
-    (List.length t.Perf_baseline.history);
-  check_feq "current run is the last push" 600.
-    (List.hd t.Perf_baseline.entries).Perf_baseline.median_ns;
-  Alcotest.(check (list (float 0.)))
-    "history keeps the newest runs, oldest first"
-    [ 300.; 400.; 500. ]
-    (List.map
-       (fun run -> (List.hd run).Perf_baseline.median_ns)
-       t.Perf_baseline.history)
-
-let test_trend () =
-  let run m a = [ entry "k" m 1. 9 a; entry "gone" 5. 0. 9 1. ] in
-  (* one outlier run (900ns) among 100/110/120: the trend is the median
-     of per-run medians, so it lands on 110/115, not on the outlier *)
-  let t =
-    {
-      Perf_baseline.entries = [ entry "k" 120. 1. 9 12. ];
-      history = [ run 100. 10.; run 900. 99.; run 110. 11. ];
-    }
-  in
-  let trend = Perf_baseline.trend t in
-  (match trend.Perf_baseline.entries with
-  | [ e ] ->
-    Alcotest.(check string) "kernels keyed by the latest run" "k"
-      e.Perf_baseline.name;
-    (* runs: 100, 900, 110, 120 -> even count, median implementation
-       dependent on interpolation; must sit between 110 and 120 *)
-    Alcotest.(check bool)
-      (Printf.sprintf "trend median robust to the outlier (got %g)"
-         e.Perf_baseline.median_ns)
-      true
-      (e.Perf_baseline.median_ns >= 110. && e.Perf_baseline.median_ns <= 120.);
-    Alcotest.(check bool)
-      (Printf.sprintf "trend alloc robust to the outlier (got %g)"
-         e.Perf_baseline.alloc_w)
-      true
-      (e.Perf_baseline.alloc_w >= 10. && e.Perf_baseline.alloc_w <= 12.)
-  | l -> Alcotest.failf "expected 1 trend kernel, got %d" (List.length l));
-  Alcotest.(check int) "trend flattens history away" 0
-    (List.length trend.Perf_baseline.history);
-  (* a history-less baseline trends to itself *)
-  let single = mk [ entry "k" 42. 1. 9 7. ] in
-  check_feq "single-run trend is the run" 42.
-    (List.hd (Perf_baseline.trend single).Perf_baseline.entries)
-      .Perf_baseline.median_ns
-
-let test_history_roundtrip () =
-  let t =
-    {
-      Perf_baseline.entries = [ entry "k" 300. 3. 9 30. ];
-      history =
-        [ [ entry "k" 100. 1. 9 10. ]; [ entry ~tol:0.5 "k" 200. 2. 9 20. ] ];
-    }
-  in
-  let file = Filename.temp_file "baseline" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  Perf_baseline.write file t;
-  match Perf_baseline.read file with
-  | Error e -> Alcotest.failf "history roundtrip failed: %s" e
-  | Ok t' ->
-    Alcotest.(check int) "history length survives" 2
-      (List.length t'.Perf_baseline.history);
-    Alcotest.(check (list (float 1e-3)))
-      "history medians survive in order" [ 100.; 200. ]
-      (List.map
-         (fun run -> (List.hd run).Perf_baseline.median_ns)
-         t'.Perf_baseline.history);
-    (match List.nth t'.Perf_baseline.history 1 with
-    | [ e ] ->
-      Alcotest.(check bool) "per-entry tol survives inside history" true
-        (e.Perf_baseline.tol = Some 0.5)
-    | _ -> Alcotest.fail "history run shape");
-    (* v2 documents (no "history") read back with an empty history *)
-    let v2 =
-      "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 2, \"entries\": [\n\
-      \  { \"name\": \"k\", \"median_ns\": 1, \"mad_ns\": 0, \"samples\": 1, \
-       \"alloc_w\": 0 } ] }"
-    in
-    (match Perf_baseline.of_json v2 with
-    | Ok t -> Alcotest.(check int) "v2 history empty" 0 (List.length t.Perf_baseline.history)
-    | Error e -> Alcotest.failf "v2 parse failed: %s" e);
-    (* malformed history shapes are rejected, not silently dropped *)
-    expect_error "non-array history"
-      (Perf_baseline.of_json
-         "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 3, \"entries\": \
-          [], \"history\": 7}");
-    (* numeric fields default like top-level entries, but a nameless
-       entry inside a run is malformed *)
-    expect_error "malformed run inside history"
-      (Perf_baseline.of_json
-         "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 3, \"entries\": \
-          [], \"history\": [ [ { \"median_ns\": 1 } ] ]}")
+  (* +40% stays inside the fixed 50% relative band *)
+  let within = mk [ entry "big" 100. 0. 9 140000.; entry "tiny" 100. 0. 9 100. ] in
+  Alcotest.(check int) "alloc within the 50% band" 0
+    (List.length (Perf_baseline.regressions (Perf_baseline.compare ~baseline ~fresh:within ())))
 
 (* of_json failures must name the kernel (or entry position) and the field
    in one line — the string an operator sees when a hand-edited baseline
@@ -357,11 +210,8 @@ let test_error_messages () =
     (doc "{ \"name\": \"a\", \"median_ns\": 1 }, { \"median_ns\": 2 }");
   check_msg "bad field names the kernel" "kernel \"a\": field \"median_ns\""
     (doc "{ \"name\": \"a\", \"median_ns\": \"fast\" }");
-  check_msg "bad tol names the kernel" "kernel \"a\": field \"tol\""
-    (doc "{ \"name\": \"a\", \"median_ns\": 1, \"tol\": \"loose\" }");
-  check_msg "history errors carry the run index" "history run 1:"
-    ("{\"schema\": \"maxtruss-perf-baseline\", \"version\": 3, \"entries\": [], \
-      \"history\": [ [ { \"name\": \"a\", \"mad_ns\": [] } ] ]}")
+  check_msg "wrong-typed field is an error" "kernel \"a\": field \"mad_ns\""
+    (doc "{ \"name\": \"a\", \"mad_ns\": [] }")
 
 let suite =
   [
@@ -369,13 +219,8 @@ let suite =
     Alcotest.test_case "error messages name kernel and field" `Quick test_error_messages;
     Alcotest.test_case "of_samples" `Quick test_of_samples;
     Alcotest.test_case "write/read roundtrip" `Quick test_roundtrip;
-    Alcotest.test_case "v1 compatibility" `Quick test_v1_compat;
     Alcotest.test_case "schema rejection" `Quick test_schema_rejection;
     Alcotest.test_case "compare verdicts" `Quick test_compare_verdicts;
     Alcotest.test_case "compare thresholds" `Quick test_compare_thresholds;
-    Alcotest.test_case "per-entry tol override" `Quick test_tol_override;
     Alcotest.test_case "alloc gate" `Quick test_alloc_gate;
-    Alcotest.test_case "push + history trim" `Quick test_push_and_trim;
-    Alcotest.test_case "trend across runs" `Quick test_trend;
-    Alcotest.test_case "v3 history roundtrip + compat" `Quick test_history_roundtrip;
   ]
