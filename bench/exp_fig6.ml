@@ -49,9 +49,7 @@ let run_b () =
           let h =
             Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp
           in
-          let onion =
-            Truss.Onion.peel ~h:(Graphcore.Graph.copy h) ~k ~candidates:comp ()
-          in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           Some
             ( k,

@@ -33,7 +33,7 @@ let study g dec k =
     let full = Maxtruss.Convert.convert ~ctx ~target:comp () in
     let full_cost = List.length full.Maxtruss.Convert.plan in
     let full_score = Maxtruss.Score.score lctx full.Maxtruss.Convert.plan in
-    let onion = Truss.Onion.peel ~h:(Graphcore.Graph.copy h) ~k ~candidates:comp () in
+    let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
     let dag = Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion in
     let best = ref None in
     List.iter

@@ -52,7 +52,7 @@ let bench_w_ablation () =
   | comp :: _ ->
     let ctx = Maxtruss.Score.make_ctx g ~k in
     let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
-    let onion = Truss.Onion.peel ~h:(Graphcore.Graph.copy h) ~k ~candidates:comp () in
+    let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
     let dag = Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion in
     Printf.printf "%-10s %10s %14s\n" "(w1,w2)" "plans" "distinct h";
     List.iter

@@ -144,6 +144,11 @@ let of_graph_dense g =
   in
   (assemble ~n ~nodes:n ~row_ptr ~col_idx, label)
 
+let find_label label x =
+  let n = Array.length label in
+  let i = lower_bound label x 0 n in
+  if i < n && label.(i) = x then i else -1
+
 let num_nodes t = t.nodes
 let num_edges t = t.m
 let max_node_id t = t.n - 1

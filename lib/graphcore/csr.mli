@@ -44,6 +44,11 @@ val of_graph_dense : Graph.t -> t * int array
     edges in lexicographic order.  Costs O(max node id of [g] + m log d),
     and the snapshot's arrays are sized to [g]'s node and edge counts. *)
 
+val find_label : int array -> int -> int
+(** [find_label label x] is the snapshot node of [g] node [x] in a snapshot
+    from {!of_graph_dense}, found by binary search in its [label]; [-1]
+    when [x] is not one of its nodes. *)
+
 val add_edges : t -> (int * int) list -> t * (int * int) list
 (** [add_edges t pairs] is the snapshot of [t]'s graph with [pairs]
     inserted, equal to {!of_graph} of that graph, together with the pairs

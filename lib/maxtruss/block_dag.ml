@@ -14,102 +14,85 @@ type t = {
   total_link_weight : int;
 }
 
-(* Rank of an edge of [h] in the (trussness, onion-layer) order of
-   Definition 5.  Backdrop edges (not peeled) rank above every candidate. *)
-let rank_of ~dec ~onion key =
-  match Hashtbl.find_opt onion.Truss.Onion.layer key with
-  | Some l ->
-    let tau = match Truss.Decompose.trussness_opt dec key with Some t -> t | None -> 0 in
-    (tau, l)
-  | None -> (max_int, 0)
-
-let rank_ge (t1, l1) (t2, l2) = t1 > t2 || (t1 = t2 && l1 >= l2)
-let rank_gt (t1, l1) (t2, l2) = t1 > t2 || (t1 = t2 && l1 > l2)
-let rank_eq (t1, l1) (t2, l2) = t1 = t2 && l1 = l2
-
-let build ~h ~dec ~k:_ ~component ~onion =
-  let members = Array.of_list component in
-  let n = Array.length members in
-  let pos = Hashtbl.create (max n 1) in
-  Array.iteri (fun i key -> Hashtbl.replace pos key i) members;
-  let rank = rank_of ~dec ~onion in
-  let is_member key = Hashtbl.mem pos key in
-  (* Pass 1: merge onion-layer connected edges into blocks. *)
-  let uf = Union_find.create n in
+(* Blocks over a snapshot whose edges in [h] are marked by [in_h].  Ranks
+   of Definition 5 by edge id: a member's (trussness, onion layer), and
+   (max_int, 0) for the backdrop, which is not peeled and ranks above every
+   candidate; each member's trussness is looked up once.  Blocks are
+   numbered in member order and links sorted, so the result depends only
+   on the triangles of [h] through the members. *)
+let of_snapshot ~csr ~in_h ~dec ~component ~eids ~(onion : Truss.Onion.layers) =
+  Obs.Span.with_ "block_dag.build" @@ fun () ->
+  let n = Array.length component in
+  let m = Csr.num_edges csr in
+  let layer = onion.layer_of and tau = Array.make m max_int in
+  let pos = Array.make m (-1) in
+  Array.iteri
+    (fun i e ->
+      pos.(e) <- i;
+      tau.(e) <- Option.value ~default:0 (Truss.Decompose.trussness_opt dec component.(i)))
+    eids;
+  let rank_eq a b = tau.(a) = tau.(b) && layer.(a) = layer.(b) in
+  let rank_ge a b = tau.(a) > tau.(b) || (tau.(a) = tau.(b) && layer.(a) >= layer.(b)) in
+  let rank_gt a b = tau.(a) > tau.(b) || (tau.(a) = tau.(b) && layer.(a) > layer.(b)) in
   let each_triangle f =
     Array.iter
-      (fun key ->
-        let u, v = Edge_key.endpoints key in
-        Graph.iter_common_neighbors h u v (fun w ->
-            f key (Edge_key.make u w) (Edge_key.make v w)))
-      members
+      (fun e ->
+        let u, v = Csr.edge_endpoints csr e in
+        Csr.iter_common_neighbors_eid csr u v (fun _ e1 e2 ->
+            if in_h.(e1) && in_h.(e2) then f e e1 e2))
+      eids
   in
+  (* Pass 1: merge onion-layer connected edges into blocks. *)
+  let uf = Union_find.create n in
   each_triangle (fun e f1 f2 ->
-      let re = rank e in
       let try_union fi fo =
-        if is_member fi && rank_eq re (rank fi) && rank_ge (rank fo) re then
-          Union_find.union uf (Hashtbl.find pos e) (Hashtbl.find pos fi)
+        if pos.(fi) >= 0 && rank_eq e fi && rank_ge fo e then Union_find.union uf pos.(e) pos.(fi)
       in
       try_union f1 f2;
       try_union f2 f1);
-  (* Dense block ids. *)
-  let root_to_block = Hashtbl.create 64 in
+  (* Dense block ids, in order of each block's first member. *)
+  let block_of_root = Array.make n (-1) in
   let next = ref 0 in
+  let member_block =
+    Array.init n (fun i ->
+        let r = Union_find.find uf i in
+        if block_of_root.(r) < 0 then begin
+          block_of_root.(r) <- !next;
+          incr next
+        end;
+        block_of_root.(r))
+  in
+  let n_blocks = !next in
+  let block e = member_block.(pos.(e)) in
   let index = Hashtbl.create (max n 1) in
+  Array.iteri (fun i key -> Hashtbl.replace index key member_block.(i)) component;
+  let buckets = Array.make n_blocks [] in
+  let block_tau = Array.make n_blocks 0 and block_layer = Array.make n_blocks 0 in
   Array.iteri
     (fun i key ->
-      let r = Union_find.find uf i in
-      let b =
-        match Hashtbl.find_opt root_to_block r with
-        | Some b -> b
-        | None ->
-          let b = !next in
-          incr next;
-          Hashtbl.replace root_to_block r b;
-          b
-      in
-      Hashtbl.replace index key b)
-    members;
-  let n_blocks = !next in
-  let buckets = Array.make n_blocks [] in
-  Array.iter (fun key ->
-      let b = Hashtbl.find index key in
-      buckets.(b) <- key :: buckets.(b))
-    members;
+      let e = eids.(i) in
+      let b = block e in
+      buckets.(b) <- key :: buckets.(b);
+      block_tau.(b) <- tau.(e);
+      block_layer.(b) <- layer.(e))
+    component;
   let edges_of = Array.map Array.of_list buckets in
-  let layer = Array.make n_blocks 0 in
-  let tau = Array.make n_blocks 0 in
-  Array.iteri
-    (fun b edges ->
-      if Array.length edges > 0 then begin
-        let t, l = rank edges.(0) in
-        layer.(b) <- l;
-        tau.(b) <- t
-      end)
-    edges_of;
   (* Pass 2: link weights.  Q[(b1, b2)] collects the b1 edges adjacent to b2
      through a qualifying triangle; |Q| is the link capacity. *)
-  let q_sets : (int, (Edge_key.t, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let link_key b1 b2 = (b1 * n_blocks) + b2 in
+  let in_q = Hashtbl.create 64 and weight = Hashtbl.create 64 in
   each_triangle (fun e fi fo ->
-      let consider e_deep e_shallow third =
-        if is_member e_deep && is_member e_shallow then begin
-          let bd = Hashtbl.find index e_deep and bs = Hashtbl.find index e_shallow in
-          if
-            bd <> bs
-            && rank_gt (rank e_deep) (rank e_shallow)
-            && rank_ge (rank third) (rank e_shallow)
-          then begin
-            let lk = link_key bd bs in
-            let set =
-              match Hashtbl.find_opt q_sets lk with
-              | Some s -> s
-              | None ->
-                let s = Hashtbl.create 4 in
-                Hashtbl.replace q_sets lk s;
-                s
-            in
-            Hashtbl.replace set e_deep ()
+      let consider deep shallow third =
+        if pos.(deep) >= 0 && pos.(shallow) >= 0 then begin
+          let bd = block deep and bs = block shallow in
+          if bd <> bs && rank_gt deep shallow && rank_ge third shallow then begin
+            (* [deep]'s block fixes the link's source, so the pair
+               ([deep], [bs]) names the member of one Q set. *)
+            let q = (pos.(deep) * n_blocks) + bs in
+            if not (Hashtbl.mem in_q q) then begin
+              Hashtbl.add in_q q ();
+              let lk = (bd * n_blocks) + bs in
+              Hashtbl.replace weight lk (1 + Option.value ~default:0 (Hashtbl.find_opt weight lk))
+            end
           end
         end
       in
@@ -119,9 +102,7 @@ let build ~h ~dec ~k:_ ~component ~onion =
       consider e fo fi;
       consider fo e fi);
   let links =
-    Hashtbl.fold
-      (fun lk set acc -> (lk / n_blocks, lk mod n_blocks, Hashtbl.length set) :: acc)
-      q_sets []
+    Hashtbl.fold (fun lk w acc -> (lk / n_blocks, lk mod n_blocks, w) :: acc) weight []
     |> List.sort compare |> Array.of_list
   in
   let out_weight = Array.make n_blocks 0 in
@@ -139,15 +120,35 @@ let build ~h ~dec ~k:_ ~component ~onion =
     n_blocks;
     index;
     edges_of;
-    layer;
-    tau;
+    layer = block_layer;
+    tau = block_tau;
     links;
     out_weight;
     base_sink;
-    max_layer = onion.Truss.Onion.max_layer;
+    max_layer = onion.max_layer;
     max_block_size;
     total_link_weight;
   }
+
+let build ~h ~dec ~k:_ ~component ~(onion : Truss.Onion.result) =
+  let csr, label = Csr.of_graph_dense h in
+  let m = Csr.num_edges csr in
+  let component = Array.of_list component in
+  let layer_of = Array.make m 0 in
+  let eids =
+    Array.map
+      (fun key ->
+        let u, v = Edge_key.endpoints key in
+        let e = Csr.edge_id csr (Csr.find_label label u) (Csr.find_label label v) in
+        match Hashtbl.find_opt onion.layer key with
+        | Some l when e >= 0 ->
+          layer_of.(e) <- l;
+          e
+        | _ -> invalid_arg "Block_dag.build: component edge not in h or not peeled")
+      component
+  in
+  of_snapshot ~csr ~in_h:(Array.make m true) ~dec ~component ~eids
+    ~onion:{ layer_of; max_layer = onion.max_layer; rounds = onion.rounds }
 
 let block_of t key = Hashtbl.find_opt t.index key
 

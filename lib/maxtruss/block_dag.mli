@@ -27,6 +27,23 @@ type t = {
   total_link_weight : int;  (** q: all link weights, sink links included *)
 }
 
+val of_snapshot :
+  csr:Csr.t ->
+  in_h:bool array ->
+  dec:Truss.Decompose.t ->
+  component:Edge_key.t array ->
+  eids:int array ->
+  onion:Truss.Onion.layers ->
+  t
+(** The DAG of a component whose local subgraph [h] (see
+    {!Truss.Onion.build_h}) is the set of snapshot edges marked by [in_h]:
+    [eids.(i)] is the snapshot edge id of [component.(i)], and [onion] the
+    {!Truss.Onion.peel_snapshot} of the component over the same mask.
+    Triangles are read from the snapshot, skipping those with an edge
+    outside [h].  [dec] supplies each member's trussness (0 for edges
+    outside it); every other [h] edge is backdrop.  Neither [in_h] nor
+    [onion] is modified. *)
+
 val build :
   h:Graph.t ->
   dec:Truss.Decompose.t ->
@@ -34,11 +51,10 @@ val build :
   component:Edge_key.t list ->
   onion:Truss.Onion.result ->
   t
-(** [h] is the component's local subgraph (see {!Truss.Onion.build_h}) — it
-    must still contain every component edge, so peel a {e copy} when
-    computing [onion].  [dec] supplies trussness for the rank order; edges
-    outside the decomposition (e.g. previously inserted) rank as backdrop
-    when their endpoints are in [h] and they have trussness at least [k]. *)
+(** {!of_snapshot} on [h]'s dense snapshot ({!Csr.of_graph_dense}) with
+    every edge in [h]: [onion] is {!Truss.Onion.peel} of [component] in
+    [h].  Raises [Invalid_argument] when a component edge is not in [h] or
+    has no layer. *)
 
 val block_of : t -> Edge_key.t -> int option
 (** Block membership lookup. *)

@@ -55,17 +55,24 @@ let c_edges_committed = Obs.Counter.make "pcfr.edges_committed"
 
 type result = { outcome : Outcome.t; levels : level_stat list }
 
+(* The onion and the DAG run on the local context's frame, where the
+   conversion subgraph h = T_k ∪ E_c of {!Truss.Onion.build_h} is exactly
+   the frame edges that are component edges or in T_k. *)
+let component_dag ~lctx ~dec ~component =
+  let csr = Score.frame_csr lctx in
+  let component = Array.of_list component in
+  let eids = Array.map (Score.frame_edge_id lctx) component in
+  let in_h = Array.init (Csr.num_edges csr) (Score.in_truss lctx) in
+  Array.iter (fun e -> in_h.(e) <- true) eids;
+  let onion = Truss.Onion.peel_snapshot ~csr ~in_h ~k:lctx.Score.k ~candidates:eids in
+  (onion, Block_dag.of_snapshot ~csr ~in_h ~dec ~component ~eids ~onion)
+
 (* Per-component flow-network scaffolding: onion peel, block DAG, min-cut
-   sweeps, dedup + cap.  Reads [ctx.g]/[ctx.old_truss]/[dec] without ever
-   writing them and builds only fresh per-call structures, so independent
-   components can run this concurrently. *)
-let flow_selections ~ctx ~dec ~config ~component =
-  let g = ctx.Score.g and k = ctx.Score.k in
-  let h_graph = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:component in
-  (* The peel works on an immutable snapshot, so [h_graph] survives for the
-     DAG build below. *)
-  let onion = Truss.Onion.peel ~h:h_graph ~k ~candidates:component () in
-  let dag = Block_dag.build ~h:h_graph ~dec ~k ~component ~onion in
+   sweeps, dedup + cap.  Reads [lctx] and [dec] without ever writing them
+   and builds only fresh per-call structures, so independent components can
+   run this concurrently. *)
+let flow_selections ~lctx ~dec ~config ~component =
+  let _, dag = component_dag ~lctx ~dec ~component in
   (* Different (w1, w2) settings frequently rediscover the same anchored
      block set; convert each distinct target only once. *)
   let seen = Hashtbl.create 16 in
@@ -124,7 +131,7 @@ let convert_selections ~ctx ~lctx ~budget (dag, selections) =
     selections
 
 let flow_pairs ~ctx ~lctx ~dec ~config ~budget ~component =
-  convert_selections ~ctx ~lctx ~budget (flow_selections ~ctx ~dec ~config ~component)
+  convert_selections ~ctx ~lctx ~budget (flow_selections ~lctx ~dec ~config ~component)
 
 let component_revenue ~rng ~ctx ~dec ~config ~budget ~component =
   Obs.Span.with_ "pcfr.component" @@ fun () ->
@@ -156,7 +163,19 @@ let run config g =
     | Some limit -> Unix.gettimeofday () -. start > limit
     | None -> false
   in
-  let gw = Obs.Span.with_ "graph.copy" (fun () -> Graph.copy g) in
+  (* Level 1 reads [g] itself.  Committed insertions wait in [pending]
+     until a later level needs them; that level copies [g] once and adds
+     them in commit order, so a run that ends at level 1 copies nothing and
+     [g] is never written. *)
+  let gw = ref g and pending = ref [] in
+  let level_graph () =
+    if !pending <> [] then begin
+      if !gw == g then gw := Obs.Span.with_ "graph.copy" (fun () -> Graph.copy g);
+      List.iter (fun (u, v) -> ignore (Graph.add_edge !gw u v)) !pending;
+      pending := []
+    end;
+    !gw
+  in
   (* The snapshot and decomposition of [g] itself — the first level's,
      taken before any insertion — double as the verification oracle's
      baseline. *)
@@ -180,6 +199,7 @@ let run config g =
     end
     else
       Obs.Span.with_ ~args:[ ("h", string_of_int !h) ] "pcfr.level" @@ fun () ->
+      let gw = level_graph () in
       let csr = Csr.of_graph gw in
       let dec = Truss.Decompose.of_csr csr in
       if !total_inserted = [] then g_snapshot := Some (csr, dec);
@@ -222,7 +242,7 @@ let run config g =
                 let lctx = Score.local_ctx ctx ~component in
                 let flow =
                   if level_config.use_flow then
-                    Some (flow_selections ~ctx ~dec ~config:level_config ~component)
+                    Some (flow_selections ~lctx ~dec ~config:level_config ~component)
                   else None
                 in
                 Some (lctx, flow))
@@ -284,7 +304,7 @@ let run config g =
               m "level h=%d: committing %d edges for a verified gain of %d" !h
                 (List.length new_edges) gain);
           Obs.Counter.add c_edges_committed (List.length new_edges);
-          List.iter (fun (u, v) -> ignore (Graph.add_edge gw u v)) as_pairs;
+          pending := !pending @ as_pairs;
           total_inserted := as_pairs @ !total_inserted;
           remaining := !remaining - List.length new_edges;
           levels :=

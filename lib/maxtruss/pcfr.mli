@@ -47,7 +47,8 @@ type level_stat = {
 type result = { outcome : Outcome.t; levels : level_stat list }
 
 val run : config -> Graph.t -> result
-(** [g] is not modified. *)
+(** [g] is not modified: the first level reads it as it is, and the first
+    later level that needs committed insertions copies it. *)
 
 val pcfr :
   ?seed:int -> ?g_probes:int -> g:Graph.t -> k:int -> budget:int -> unit -> result
@@ -70,3 +71,15 @@ val component_revenue :
   Plan.revenue
 (** The Phase-I menu of one component (random + min-cut plans, verified and
     normalized) — exposed for the DP experiments, which need raw menus. *)
+
+val component_dag :
+  lctx:Score.ctx ->
+  dec:Truss.Decompose.t ->
+  component:Edge_key.t list ->
+  Truss.Onion.layers * Block_dag.t
+(** The onion peel and block DAG PCFR builds for a component, on the frame
+    of its local context [lctx = Score.local_ctx ctx ~component]: the
+    conversion subgraph of {!Truss.Onion.build_h} is the frame edges that
+    are component edges or in [ctx.old_truss].  Layers are indexed by frame
+    edge id ({!Score.frame_edge_id}).  Exposed so tests can hold it to the
+    [~h] adapters {!Truss.Onion.peel} and {!Block_dag.build}. *)

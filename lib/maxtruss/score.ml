@@ -28,15 +28,6 @@ let make_ctx g ~k =
 
 let c_evaluations = Obs.Counter.make "score.evaluations"
 
-(* Frame node of graph node [x], by binary search in the sorted labels. *)
-let find_label label x =
-  let lo = ref 0 and hi = ref (Array.length label) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if label.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length label && label.(!lo) = x then !lo else -1
-
 let evaluate ctx inserted =
   Obs.Span.with_ "score.evaluate" @@ fun () ->
   Obs.Counter.incr c_evaluations;
@@ -45,7 +36,7 @@ let evaluate ctx inserted =
   (* Plan endpoints outside the frame become new frame nodes n, n + 1, ... *)
   let outside = Hashtbl.create 8 in
   let local x =
-    match find_label label x with
+    match Csr.find_label label x with
     | -1 -> (
       match Hashtbl.find_opt outside x with
       | Some i -> i
@@ -92,6 +83,15 @@ let local_ctx ctx ~component =
     nodes;
   let csr, label = Csr.of_graph_dense h in
   { ctx with g = h; frame = make_frame csr label ctx.old_truss }
+
+let frame_csr ctx = ctx.frame.csr
+
+let in_truss ctx e = ctx.frame.in_truss.(e)
+
+let frame_edge_id ctx key =
+  let { csr; label; _ } = ctx.frame in
+  let u, v = Edge_key.endpoints key in
+  Csr.edge_id csr (Csr.find_label label u) (Csr.find_label label v)
 
 let score ctx inserted = List.length (evaluate ctx inserted).Truss.Maintain.promoted
 

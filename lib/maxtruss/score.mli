@@ -61,6 +61,16 @@ val local_ctx : ctx -> component:Edge_key.t list -> ctx
     than a table of its own; its frame marks the edges of that table that
     lie in the neighborhood. *)
 
+val frame_csr : ctx -> Csr.t
+(** The context's frame snapshot.  A {!local_ctx}'s frame numbers its nodes
+    [0 .. n-1]; use {!frame_edge_id} to find an edge in it. *)
+
+val in_truss : ctx -> int -> bool
+(** Whether a frame edge id lies in [ctx.old_truss]. *)
+
+val frame_edge_id : ctx -> Edge_key.t -> int
+(** Frame edge id of an edge of [ctx.g]; [-1] when the edge is not in it. *)
+
 val score : ctx -> (int * int) list -> int
 (** [List.length (evaluate ctx p).promoted]. *)
 

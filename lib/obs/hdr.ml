@@ -1,7 +1,7 @@
 (* Fixed-footprint log-linear histogram (HdrHistogram bucket layout at two
-   significant decimal digits): 128 linear sub-buckets per power-of-two
-   range, so any recorded value is resolved to within 1/128 (< 1 %) of its
-   magnitude.  The counts array is allocated once at [create] and never
+   significant decimal digits): unit-width slots below 128, then 64 slots
+   of width 2^b per range [64 * 2^b, 128 * 2^b), so any recorded value is
+   resolved to within 1/64 (≈ 1.6 %) of its magnitude.  The counts array is allocated once at [create] and never
    grows — observing is two shifts, a mask and an increment.
 
    Values are non-negative ints in an arbitrary unit (the obs layer uses
@@ -73,7 +73,7 @@ let max_value_seen t = t.max_v
 
 (* Value at quantile [q]: the highest-equivalent value of the slot where
    the cumulative count first reaches ceil(q * total).  Conservative (never
-   under-reports) and within one slot width of exact, i.e. < 1 % high. *)
+   under-reports) and within one slot width of exact, i.e. < 1/64 high. *)
 let quantile t q =
   if t.total = 0 then 0
   else begin

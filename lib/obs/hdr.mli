@@ -1,8 +1,8 @@
 (** Fixed-footprint log-linear histogram of non-negative int values
-    (HdrHistogram bucket layout): 128 linear sub-buckets per power-of-two
-    range, giving ~2 significant decimal digits of resolution (every
-    recorded value lands in a slot whose width is < 1/128 of its
-    magnitude).  One flat int array allocated at {!create}, never resized;
+    (HdrHistogram bucket layout): values below 128 get unit-width slots,
+    and each power-of-two range [\[64 * 2^b, 128 * 2^b)] above is cut into
+    64 slots of width [2^b], so a slot is at most 1/64 of the values it
+    holds (1/64 at the bottom of the range, 1/128 at the top).  One flat int array allocated at {!create}, never resized;
     {!observe} is O(1) with no allocation.
 
     This is the raw, single-writer data structure.  The registered,
@@ -37,7 +37,8 @@ val quantile : t -> float -> int
 (** [quantile t q] for [q] in [0..1] (clamped): the highest-equivalent
     value of the slot where the cumulative count reaches
     [ceil (q * count)] — never below the true quantile, and less than one
-    slot width (< 1 %) above it.  0 when empty. *)
+    slot width above it: under 1/64 (≈ 1.6 %) of its value.  0 when
+    empty. *)
 
 val merge : into:t -> t -> unit
 (** Add [t]'s counts, sum and min/max into [into]; [t] is unchanged. *)

@@ -132,8 +132,8 @@ module Histogram : sig
   val sum : t -> int
 
   val quantile : t -> float -> int
-  (** Conservative (≤ 1 % high) quantile over the merged shards; see
-      {!Hdr.quantile}. *)
+  (** Conservative (< 1/64, ≈ 1.6 %, high) quantile over the merged
+      shards; see {!Hdr.quantile}. *)
 
   val snapshot : t -> Hdr.t
   (** Fresh merged copy of all shards (empty if stale or disabled). *)

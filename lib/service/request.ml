@@ -260,11 +260,9 @@ let handle_read ~epoch req =
     Buffer.add_string b "]}"
   | Maximize { k; budget; algo; seed; g_probes } ->
     header "maximize";
-    (* Nothing in the maximization code writes to its input; the copy
-       stays because PCFR's component tie order follows the hashtable
-       order of the graph it copies in turn, so passing the epoch's graph
-       directly could change plans. *)
-    let g = Graph.copy (Epoch.graph epoch) in
+    (* PCFR never writes to its input: its first level reads the epoch's
+       graph as it is, and a later level works on a private copy. *)
+    let g = Epoch.graph epoch in
     let run = match algo with Pcfr -> Maxtruss.Pcfr.pcfr | Pcf -> Maxtruss.Pcfr.pcf | Pcr -> Maxtruss.Pcfr.pcr in
     let res = run ~seed ?g_probes ~g ~k ~budget () in
     let inserted =

@@ -4,7 +4,11 @@
     Classic bottom-up peeling: repeatedly remove a minimum-support edge,
     assigning it trussness [support + 2] (made monotone), and decrement the
     support of the two other edges of each triangle it closed.  Runs in
-    O(m^1.5) with the bucket queue. *)
+    O(m^1.5) with the bucket queue.  The triangles come from per-edge
+    triangle lists laid out once after the support count (6T + m words),
+    or, when the graph has more than 2m triangles, from intersecting the
+    popped edge's two adjacency rows (m words), which keeps the peel's
+    extra memory O(m) on dense graphs. *)
 
 open Graphcore
 
@@ -14,7 +18,9 @@ val of_csr : Csr.t -> t
 (** Decompose a frozen snapshot: peels on flat edge-id arrays with an
     intrusive doubly-linked bucket list — no hashing anywhere in the hot
     loop.  Callers that already hold the graph's {!Csr} (the service's
-    epochs) pass it here instead of paying for a second snapshot. *)
+    epochs) pass it here instead of paying for a second snapshot.  Counts
+    the triangle source it used in [decompose.triangle_list_peels] or
+    [decompose.intersect_peels]. *)
 
 val run : Graph.t -> t
 (** [of_csr (Csr.of_graph g)]; [g] is never modified. *)

@@ -6,40 +6,37 @@ type result = {
   rounds : int;
 }
 
+type layers = { layer_of : int array; max_layer : int; rounds : int }
+
 let c_rounds = Obs.Counter.make "onion.peel_rounds"
 
 let c_candidates = Obs.Counter.make "onion.candidates"
 
-(* One immutable snapshot of h; supports, liveness, layers and the
-   candidate set are flat arrays over edge ids, and removals are [alive]
-   flag flips.  [h] itself is left untouched. *)
-let peel_csr ~h ~k ~candidates =
+(* The peel, on an immutable snapshot: supports, liveness, layers and the
+   candidate set are flat arrays over edge ids, and removals are flag
+   flips in [alive], which starts as the mask of h's edges and is consumed
+   by the peel. *)
+let peel_core ~csr ~alive ~k ~candidates =
   let threshold = k - 2 in
-  let csr = Csr.of_graph h in
   let m = Csr.num_edges csr in
-  let cand_eid =
-    List.map
-      (fun key ->
-        let u, v = Edge_key.endpoints key in
-        let e = if u = v then -1 else Csr.edge_id csr u v in
-        if e < 0 then invalid_arg "Onion.peel: candidate not in h";
-        e)
-      candidates
-  in
-  let is_cand = Array.make (max m 1) false in
-  List.iter (fun e -> is_cand.(e) <- true) cand_eid;
+  let is_cand = Array.make m false in
+  Array.iter
+    (fun e ->
+      if e < 0 || not alive.(e) then invalid_arg "Onion.peel: candidate not in h";
+      is_cand.(e) <- true)
+    candidates;
   (* Only candidate supports are ever consulted, so intersect per candidate
      (backdrop triangles included) instead of enumerating every triangle of
      the snapshot — the backdrop usually dwarfs the candidate set. *)
-  let sup = Array.make (max m 1) 0 in
-  let layer_arr = Array.make (max m 1) 0 in
-  let alive = Array.make (max m 1) true in
+  let sup = Array.make m 0 in
+  let layer_of = Array.make m 0 in
   let remaining = ref 0 in
   for e = 0 to m - 1 do
     if is_cand.(e) then begin
       incr remaining;
       let u, v = Csr.edge_endpoints csr e in
-      sup.(e) <- Csr.count_common_neighbors csr u v
+      Csr.iter_common_neighbors_eid csr u v (fun _ e1 e2 ->
+          if alive.(e1) && alive.(e2) then sup.(e) <- sup.(e) + 1)
     end
   done;
   let frontier = ref [] in
@@ -54,8 +51,8 @@ let peel_csr ~h ~k ~candidates =
     frontier := [];
     List.iter
       (fun e ->
-        if layer_arr.(e) = 0 then begin
-          layer_arr.(e) <- !round;
+        if layer_of.(e) = 0 then begin
+          layer_of.(e) <- !round;
           if !round > !max_layer then max_layer := !round;
           decr remaining
         end)
@@ -69,7 +66,7 @@ let peel_csr ~h ~k ~candidates =
         Csr.iter_common_neighbors_eid csr u v (fun _ e1 e2 ->
             if alive.(e1) && alive.(e2) then begin
               let decr_candidate e' =
-                if is_cand.(e') && layer_arr.(e') = 0 then begin
+                if is_cand.(e') && layer_of.(e') = 0 then begin
                   sup.(e') <- sup.(e') - 1;
                   if sup.(e') = threshold - 1 then frontier := e' :: !frontier
                 end
@@ -83,21 +80,32 @@ let peel_csr ~h ~k ~candidates =
   if !remaining > 0 then begin
     max_layer := !max_layer + 1;
     for e = 0 to m - 1 do
-      if is_cand.(e) && layer_arr.(e) = 0 then layer_arr.(e) <- !max_layer
+      if is_cand.(e) && layer_of.(e) = 0 then layer_of.(e) <- !max_layer
     done
   end;
-  let layer = Hashtbl.create (max (List.length candidates) 1) in
-  for e = 0 to m - 1 do
-    if is_cand.(e) then Hashtbl.replace layer (Csr.edge_key csr e) layer_arr.(e)
-  done;
-  { layer; max_layer = !max_layer; rounds = !round }
+  Obs.Counter.add c_rounds !round;
+  Obs.Counter.add c_candidates (Array.length candidates);
+  { layer_of; max_layer = !max_layer; rounds = !round }
+
+let peel_snapshot ~csr ~in_h ~k ~candidates =
+  Obs.Span.with_ "onion.peel" @@ fun () -> peel_core ~csr ~alive:(Array.copy in_h) ~k ~candidates
 
 let peel ~h ~k ~candidates () =
-  Obs.Span.with_ "onion.peel" (fun () ->
-      let r = peel_csr ~h ~k ~candidates in
-      Obs.Counter.add c_rounds r.rounds;
-      Obs.Counter.add c_candidates (List.length candidates);
-      r)
+  Obs.Span.with_ "onion.peel" @@ fun () ->
+  let csr = Csr.of_graph h in
+  let eid key =
+    let u, v = Edge_key.endpoints key in
+    if u = v then -1 else Csr.edge_id csr u v
+  in
+  let m = Csr.num_edges csr in
+  let r =
+    peel_core ~csr ~alive:(Array.make m true) ~k ~candidates:(Array.of_list (List.map eid candidates))
+  in
+  let layer = Hashtbl.create (max (List.length candidates) 1) in
+  for e = 0 to m - 1 do
+    if r.layer_of.(e) > 0 then Hashtbl.replace layer (Csr.edge_key csr e) r.layer_of.(e)
+  done;
+  { layer; max_layer = r.max_layer; rounds = r.rounds }
 
 let build_h ~g ~backdrop ~candidates =
   let h = Graph.create ~capacity:(Graph.max_node_id g + 1) () in

@@ -20,16 +20,28 @@ type result = {
   rounds : int;  (** number of peeling rounds executed *)
 }
 
-val peel : h:Graph.t -> k:int -> candidates:Edge_key.t list -> unit -> result
-(** [peel ~h ~k ~candidates ()] peels [candidates] inside the subgraph [h]
-    (which must contain every candidate; all other [h] edges form the
-    backdrop).  It snapshots [h] once into a {!Csr} and peels on flat
-    arrays, leaving [h] untouched.
+type layers = {
+  layer_of : int array;  (** snapshot edge id -> layer; 0 off the candidates *)
+  max_layer : int;
+  rounds : int;
+}
+
+val peel_snapshot : csr:Csr.t -> in_h:bool array -> k:int -> candidates:int array -> layers
+(** The peel itself, on a snapshot whose edges in [h] are marked by [in_h]
+    (indexed by edge id); [candidates] are edge ids inside [h], and every
+    other [h] edge is backdrop.  Triangles with an edge outside [h] do not
+    count.  Peels on flat arrays; [csr] and [in_h] are left untouched.
+    Raises [Invalid_argument] on a candidate outside [h].
 
     Candidates that never fall below the support threshold would belong to
     the k-truss — impossible when trussness was computed correctly — but the
     function is total: any such edges are assigned [max_layer] and the loop
     terminates. *)
+
+val peel : h:Graph.t -> k:int -> candidates:Edge_key.t list -> unit -> result
+(** [peel ~h ~k ~candidates ()] is {!peel_snapshot} on [h]'s {!Csr}
+    snapshot with every edge in [h], its layers keyed by edge.  [h] must
+    contain every candidate and is left untouched. *)
 
 val build_h :
   g:Graph.t ->

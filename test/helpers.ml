@@ -22,8 +22,16 @@ let fig1_dag () =
   let ctx = Maxtruss.Score.make_ctx g ~k:4 in
   let comp = fig1_c1_edges in
   let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
-  let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k:4 ~candidates:comp () in
+  let onion = Truss.Onion.peel ~h ~k:4 ~candidates:comp () in
   Maxtruss.Block_dag.build ~h ~dec ~k:4 ~component:comp ~onion
+
+(* A clustered power-law graph with four planted noisy communities on which
+   PCFR (k = 7, b = 8, seed 1) commits edges at level h = 1 and again at
+   h = 2, in 10 ms. *)
+let two_level_graph () =
+  let rng = Rng.create 6 in
+  let base = Gen.powerlaw_cluster ~rng ~n:60 ~m:3 ~p:0.5 in
+  Gen.with_communities ~rng ~base ~communities:4 ~size_min:6 ~size_max:9 ~drop:0.25
 
 let triangle () = Graph.of_edges [ (0, 1); (1, 2); (0, 2) ]
 

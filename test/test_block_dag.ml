@@ -77,7 +77,7 @@ let prop_blocks_partition_component =
       List.for_all
         (fun comp ->
           let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-          let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           let covered = Array.fold_left (fun acc es -> acc + Array.length es) 0 dag.Block_dag.edges_of in
           covered = List.length comp
@@ -109,7 +109,7 @@ let prop_links_go_downhill =
       List.for_all
         (fun comp ->
           let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-          let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           Array.for_all
             (fun (src, dst, w) ->
@@ -134,12 +134,57 @@ let prop_link_weight_bounded_by_block =
       List.for_all
         (fun comp ->
           let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-          let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           Array.for_all
             (fun (src, _, w) -> w <= Block_dag.size dag src)
             dag.Block_dag.links)
         comps)
+
+let sorted_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+
+(* PCFR peels and builds each component's DAG on its scoring frame
+   ({!Pcfr.component_dag}); the [~h] adapters snapshot the conversion
+   subgraph of [Onion.build_h] instead.  Both must agree exactly, field by
+   field, on every level-1 component of three registry graphs. *)
+let test_frame_matches_adapters () =
+  List.iter
+    (fun name ->
+      let spec = Datasets.Registry.find name in
+      let g = spec.Datasets.Registry.build () and k = spec.Datasets.Registry.default_k in
+      let ctx = Score.make_ctx g ~k in
+      let dec = Truss.Decompose.run g in
+      let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
+      Alcotest.(check bool) (name ^ " has level-1 components") true (comps <> []);
+      List.iteri
+        (fun i component ->
+          let what field = Printf.sprintf "%s component %d: %s" name i field in
+          let lctx = Score.local_ctx ctx ~component in
+          let fo, fd = Pcfr.component_dag ~lctx ~dec ~component in
+          let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:component in
+          let o = Truss.Onion.peel ~h ~k ~candidates:component () in
+          let d = Block_dag.build ~h ~dec ~k ~component ~onion:o in
+          let ints = Alcotest.(check (array int)) and int = Alcotest.(check int) in
+          int (what "rounds") o.Truss.Onion.rounds fo.Truss.Onion.rounds;
+          int (what "onion max_layer") o.Truss.Onion.max_layer fo.Truss.Onion.max_layer;
+          Alcotest.(check (list (pair int int)))
+            (what "layers") (sorted_bindings o.Truss.Onion.layer)
+            (List.map (fun key -> (key, fo.Truss.Onion.layer_of.(Score.frame_edge_id lctx key))) component
+            |> List.sort compare);
+          int (what "n_blocks") d.Block_dag.n_blocks fd.Block_dag.n_blocks;
+          Alcotest.(check (list (pair int int)))
+            (what "index") (sorted_bindings d.Block_dag.index) (sorted_bindings fd.Block_dag.index);
+          Alcotest.(check (array (array int))) (what "edges_of") d.Block_dag.edges_of fd.Block_dag.edges_of;
+          ints (what "layer") d.Block_dag.layer fd.Block_dag.layer;
+          ints (what "tau") d.Block_dag.tau fd.Block_dag.tau;
+          Alcotest.(check (array (triple int int int))) (what "links") d.Block_dag.links fd.Block_dag.links;
+          ints (what "out_weight") d.Block_dag.out_weight fd.Block_dag.out_weight;
+          ints (what "base_sink") d.Block_dag.base_sink fd.Block_dag.base_sink;
+          int (what "max_layer") d.Block_dag.max_layer fd.Block_dag.max_layer;
+          int (what "max_block_size") d.Block_dag.max_block_size fd.Block_dag.max_block_size;
+          int (what "total_link_weight") d.Block_dag.total_link_weight fd.Block_dag.total_link_weight)
+        comps)
+    [ "gowalla-sample"; "facebook"; "enron" ]
 
 let suite =
   [
@@ -150,6 +195,8 @@ let suite =
     Alcotest.test_case "block_of partition" `Quick test_block_of_partition;
     Alcotest.test_case "homogeneous blocks" `Quick test_blocks_homogeneous_layer;
     Alcotest.test_case "edges_of_blocks" `Quick test_edges_of_blocks;
+    Alcotest.test_case "frame DAG equals the ~h adapters on registry graphs" `Quick
+      test_frame_matches_adapters;
     Helpers.qtest prop_blocks_partition_component;
     Helpers.qtest prop_links_go_downhill;
     Helpers.qtest prop_link_weight_bounded_by_block;

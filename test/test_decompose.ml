@@ -118,6 +118,56 @@ let prop_maximality =
                      (Truss.Truss_query.k_truss_edges (Graph.of_edge_keys (Truss.Decompose.truss_edges dec k)) ~k));
       !ok)
 
+(* Obs counters bumped while [f] runs. *)
+let counting f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      let count name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
+      (r, count "decompose.triangle_list_peels", count "decompose.intersect_peels"))
+
+let test_triangle_sources () =
+  (* The peel walks stored triangle lists while T <= 2m and intersects
+     rows above that: fig1 has T = 16 over m = 22, K12 T = 220 over m = 66. *)
+  let (), lists, intersect = counting (fun () -> ignore (Truss.Decompose.run (Helpers.fig1 ()))) in
+  Alcotest.(check (pair int int)) "fig1 peels over triangle lists" (1, 0) (lists, intersect);
+  let (), lists, intersect = counting (fun () -> ignore (Truss.Decompose.run (Helpers.clique 12))) in
+  Alcotest.(check (pair int int)) "K12 peels by row intersection" (0, 1) (lists, intersect)
+
+(* Sparse power-law graphs (T <= 2m), or the same with a planted clique of
+   18-24 nodes, which pushes T past 2m; [true] marks the planted ones. *)
+let sourced_graph_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let* planted = bool in
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 20 50 in
+  let g = Gen.powerlaw_cluster ~rng ~n ~m:2 ~p:0.4 in
+  if planted then begin
+    let members = Rng.sample_without_replacement rng (Rng.int_in rng 18 24) (Array.init 40 Fun.id) in
+    Gen.planted_noisy_clique ~rng ~g ~members ~drop:0.05
+  end;
+  return (planted, g)
+
+let prop_both_sources_match_reference =
+  QCheck2.Test.make ~name:"of_csr matches the reference peel from both triangle sources" ~count:60
+    sourced_graph_gen
+    (fun (planted, g) ->
+      let dec, lists, intersect = counting (fun () -> Truss.Decompose.of_csr (Csr.of_graph g)) in
+      let reference, reference_kmax = Ref_truss.decompose g in
+      (* planted graphs exercise row intersection, the others the lists *)
+      (if planted then (lists, intersect) = (0, 1) else (lists, intersect) = (1, 0))
+      && Truss.Decompose.kmax dec = reference_kmax
+      && Truss.Decompose.num_edges dec = Hashtbl.length reference
+      && Hashtbl.fold
+           (fun key tau ok -> ok && Truss.Decompose.trussness_opt dec key = Some tau)
+           reference true)
+
 let suite =
   [
     Alcotest.test_case "clique trussness" `Quick test_clique_trussness;
@@ -133,4 +183,6 @@ let suite =
     Helpers.qtest prop_truss_property;
     Helpers.qtest prop_hierarchy;
     Helpers.qtest prop_maximality;
+    Alcotest.test_case "triangle source follows the triangle count" `Quick test_triangle_sources;
+    Helpers.qtest prop_both_sources_match_reference;
   ]

@@ -50,7 +50,7 @@ let test_sweep_empty_dag () =
   let g = Helpers.clique 4 in
   let dec = Truss.Decompose.run g in
   let ctx = Score.make_ctx g ~k:4 in
-  let onion = Truss.Onion.peel ~h:(Graph.copy g) ~k:6 ~candidates:[] () in
+  let onion = Truss.Onion.peel ~h:g ~k:6 ~candidates:[] () in
   let dag = Block_dag.build ~h:g ~dec ~k:6 ~component:[] ~onion in
   ignore ctx;
   Alcotest.(check (list int)) "no plans on empty dag" []
@@ -70,7 +70,7 @@ let prop_lemma1_random =
       List.for_all
         (fun comp ->
           let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-          let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           let gmax = Flow_plan.g_max ~dag ~w1:1 ~w2:1 in
           let prev = ref max_int in
@@ -99,7 +99,7 @@ let prop_h_score_consistent =
       List.for_all
         (fun comp ->
           let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-          let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+          let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
           let dag = Block_dag.build ~h ~dec ~k ~component:comp ~onion in
           List.for_all
             (fun sel ->
@@ -141,7 +141,7 @@ let prop_parametric_sweep_matches_rebuild =
                let h =
                  Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp
                in
-               let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+               let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
                Block_dag.build ~h ~dec ~k ~component:comp ~onion)
              comps)
       in

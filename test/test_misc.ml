@@ -52,7 +52,7 @@ let test_sweep_records_g_param () =
   let ctx = Score.make_ctx g ~k:4 in
   let comp = Helpers.fig1_c1_edges in
   let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp in
-  let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k:4 ~candidates:comp () in
+  let onion = Truss.Onion.peel ~h ~k:4 ~candidates:comp () in
   let dag = Block_dag.build ~h ~dec ~k:4 ~component:comp ~onion in
   let gmax = Flow_plan.g_max ~dag ~w1:1 ~w2:1 in
   List.iter
@@ -113,7 +113,7 @@ let prop_onion_deeper_layers_survive_longer =
       QCheck2.assume (!cands <> []);
       let backdrop = Truss.Decompose.truss_edge_table dec k in
       let h = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
-      let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:!cands () in
+      let onion = Truss.Onion.peel ~h ~k ~candidates:!cands () in
       (* replay: after removing layers < l, every layer-l edge must be below
          threshold (that is why it peels in round l) *)
       let ok = ref true in

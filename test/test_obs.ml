@@ -306,25 +306,54 @@ let test_metrics_contract () =
 
 (* Every PCFR phase has its own span, so none shows up as pcfr.level's or
    pcfr.run's unattributed self time: one ctx build and one component pass
-   per level, one local scoring context per component (fig1 has two
-   3-class components), one copy and one oracle per run, the oracle
-   merging the plan into the level-1 snapshot. *)
+   per level, one local scoring context and one block DAG per component
+   (fig1 has two 3-class components), one oracle per run, the oracle
+   merging the plan into the level-1 snapshot.  The input is copied only
+   by a later level that needs the insertions committed before it. *)
 let test_pcfr_phase_spans () =
+  let check_counts stats =
+    List.iter (fun (path, count) ->
+        Alcotest.(check int) path count (find_stat stats path).Obs.count)
+  in
+  (* [graph.copy] spans, as (path, count) *)
+  let copies stats =
+    List.filter_map
+      (fun (s : Obs.span_stat) ->
+        let parts = String.split_on_char '/' s.Obs.path in
+        if List.nth parts (List.length parts - 1) = "graph.copy" then Some (s.Obs.path, s.Obs.count)
+        else None)
+      stats
+  in
+  (with_obs @@ fun () ->
+   (* fig1 at b = 2 ends at level 1, which reads its input: no copy. *)
+   ignore (Pcfr.pcfr ~g:(Helpers.fig1 ()) ~k:4 ~budget:2 ());
+   let stats = Obs.span_stats () in
+   check_counts stats
+     [
+       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/connectivity.components", 1);
+       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/score.ctx", 1);
+       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/pcfr.component/score.local_ctx", 2);
+       ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/pcfr.component/block_dag.build", 2);
+       ("pcfr.run(k=4,budget=2)/score.evaluate_oracle", 1);
+       ("pcfr.run(k=4,budget=2)/score.evaluate_oracle/csr.add_edges", 1);
+     ];
+   Alcotest.(check (list (pair string int))) "one-level run copies nothing" [] (copies stats));
   with_obs @@ fun () ->
-  let g = Helpers.fig1 () in
-  ignore (Pcfr.pcfr ~g ~k:4 ~budget:2 ());
+  (* Level 2 needs level 1's insertions: it copies the input once. *)
+  let r = Pcfr.pcfr ~seed:1 ~g:(Helpers.two_level_graph ()) ~k:7 ~budget:8 () in
   let stats = Obs.span_stats () in
-  List.iter
-    (fun (path, count) ->
-      Alcotest.(check int) path count (find_stat stats path).Obs.count)
-    [
-      ("pcfr.run(k=4,budget=2)/graph.copy", 1);
-      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/connectivity.components", 1);
-      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/score.ctx", 1);
-      ("pcfr.run(k=4,budget=2)/pcfr.level(h=1)/pcfr.component/score.local_ctx", 2);
-      ("pcfr.run(k=4,budget=2)/score.evaluate_oracle", 1);
-      ("pcfr.run(k=4,budget=2)/score.evaluate_oracle/csr.add_edges", 1);
-    ]
+  Alcotest.(check (list (pair string int)))
+    "two-level run copies once, at level 2"
+    [ ("pcfr.run(k=7,budget=8)/pcfr.level(h=2)/graph.copy", 1) ]
+    (copies stats);
+  Alcotest.(check (list int)) "levels committed" [ 1; 2 ]
+    (List.map (fun (l : Pcfr.level_stat) -> l.Pcfr.h) r.Pcfr.levels);
+  check_counts stats
+    (List.map
+       (fun (l : Pcfr.level_stat) ->
+         ( Printf.sprintf "pcfr.run(k=7,budget=8)/pcfr.level(h=%d)/pcfr.component/block_dag.build" l.Pcfr.h,
+           l.Pcfr.components ))
+       r.Pcfr.levels)
 
 let boom_line = __LINE__ + 3
 
@@ -428,6 +457,18 @@ let test_reset_invalidates_handles () =
     "handle re-registers after reset" [ ("test.reset_ctr", 1) ] (Obs.counters ())
 
 (* --- histograms --- *)
+
+let test_hdr_bound () =
+  (* 2^20 sits in the first slot of its range, where slots are 2^14 = v/64
+     wide; the outlier keeps p50 from being clamped to the maximum, so it
+     reads the slot's top, 1,064,959: 1.56 % high. *)
+  let h = Hdr.create () in
+  let v = 1_048_576 in
+  Hdr.observe h v;
+  Hdr.observe h 1_000_000_000;
+  let p50 = Hdr.quantile h 0.5 in
+  Alcotest.(check bool) (Printf.sprintf "p50 %d >= %d" p50 v) true (p50 >= v);
+  Alcotest.(check bool) (Printf.sprintf "p50 %d within v/64 of %d" p50 v) true (p50 - v < v / 64)
 
 let test_hdr_histogram () =
   let h = Hdr.create () in
@@ -1041,6 +1082,7 @@ let suite =
       test_v2_fields_absent_when_disabled;
     Alcotest.test_case "reset invalidates handles" `Quick test_reset_invalidates_handles;
     Alcotest.test_case "Hdr log-linear histogram" `Quick test_hdr_histogram;
+    Alcotest.test_case "Hdr quantile within 1/64" `Quick test_hdr_bound;
     Alcotest.test_case "registered histograms" `Quick test_registered_histogram;
     Alcotest.test_case "span duration quantiles" `Quick test_span_quantiles;
     Alcotest.test_case "span histograms count closed spans only" `Quick

@@ -21,10 +21,24 @@ let test_fig1_budget_respected () =
         (List.length r.Pcfr.outcome.Outcome.inserted <= b))
     [ 0; 1; 2; 3; 4; 10 ]
 
-let test_fig1_graph_untouched () =
-  let g = Helpers.fig1 () in
-  ignore (Pcfr.pcfr ~g ~k:4 ~budget:4 ());
-  Alcotest.(check int) "original graph unmodified" 22 (Graph.num_edges g)
+let test_graph_untouched () =
+  (* Level 1 reads the input itself and later levels a copy: neither may
+     write to it. *)
+  List.iter
+    (fun (what, g, k, budget, levels) ->
+      let edges = List.sort Edge_key.compare (Graph.edges g) and m = Graph.num_edges g in
+      let r = Pcfr.pcfr ~seed:1 ~g ~k ~budget () in
+      Alcotest.(check (list int))
+        (what ^ ": levels committed") levels
+        (List.map (fun (l : Pcfr.level_stat) -> l.Pcfr.h) r.Pcfr.levels);
+      Alcotest.(check int) (what ^ ": edge count") m (Graph.num_edges g);
+      Alcotest.(check (list int))
+        (what ^ ": edge set") edges
+        (List.sort Edge_key.compare (Graph.edges g)))
+    [
+      ("fig1, one level", Helpers.fig1 (), 4, 4, [ 1 ]);
+      ("two levels", Helpers.two_level_graph (), 7, 8, [ 1; 2 ]);
+    ]
 
 let test_score_is_verified () =
   let g = Helpers.fig1 () in
@@ -167,7 +181,7 @@ let suite =
   [
     Alcotest.test_case "fig1: 10 vs 8" `Quick test_fig1_beats_cbtm;
     Alcotest.test_case "budget respected" `Quick test_fig1_budget_respected;
-    Alcotest.test_case "graph untouched" `Quick test_fig1_graph_untouched;
+    Alcotest.test_case "graph untouched" `Quick test_graph_untouched;
     Alcotest.test_case "score verified" `Quick test_score_is_verified;
     Alcotest.test_case "ablations run" `Quick test_ablations_run;
     Alcotest.test_case "PCF deterministic" `Quick test_pcf_deterministic;
