@@ -41,8 +41,6 @@ let experiments =
     ("scaling", "Table III companion: kernel scaling + ablations", Exp_scaling.run);
     ("flowsweep", "Parametric warm-start vs per-probe rebuild g-sweep", Exp_flow.run);
     ("corevs", "Motivation companion: truss vs core maximization", Exp_core_vs_truss.run);
-    ("anchorvs", "Related-work companion: anchoring vs edge insertion", Exp_anchor.run);
-    ("weighted", "Extension: weighted insertion budgets", Exp_weighted.run);
     ("serve", "Service replay: sustained qps + tail latency of the request layer", Exp_serve.run);
   ]
 

@@ -43,8 +43,8 @@ val with_communities :
   drop:float ->
   Graph.t
 (** Plant [communities] noisy cliques on random node subsets of [base]
-    (mutating and returning [base]).  Community members are drawn from the
-    existing node range so communities overlap organically. *)
+    (mutating and returning [base]).  Each community's members are drawn
+    from the existing node range so communities overlap organically. *)
 
 val hierarchical_web : rng:Rng.t -> pages:int -> cluster:int -> inter:int -> Graph.t
 (** Web-graph-like topology: [pages / cluster] dense clusters (noisy cliques)

@@ -1,8 +1,7 @@
 open Graphcore
 
 let rd ~rng ~g ~k ~budget =
-  Outcome.timed ~original:g ~k (fun () ->
-      let dec = Truss.Decompose.run g in
+  Outcome.timed ~original:g ~k (fun ~csr:_ ~dec ->
       let klass = Truss.Decompose.k_class dec (k - 1) in
       if klass = [] then ([], false)
       else begin
@@ -22,11 +21,14 @@ type gtm_local = {
   mutable base : int;
 }
 
-let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
-  Outcome.timed ~original:g ~k (fun () ->
+(* GTM's candidate budget, shared by the components' pools: each keeps
+   max 20 (gtm_candidates / components) of its highest-support pairs. *)
+let gtm_candidates = 400
+
+let gtm ~g ~k ~budget ?(time_limit_s = 120.0) () =
+  Outcome.timed ~original:g ~k (fun ~csr ~dec ->
       let start = Unix.gettimeofday () in
       let over_time () = Unix.gettimeofday () -. start > time_limit_s in
-      let dec = Truss.Decompose.run g in
       let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
       if comps = [] then ([], false)
       else begin
@@ -34,7 +36,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
            neighborhood — triangle-connectivity independence makes that
            exact.  Inserting edges only grows the k-truss, so the gain of a
            candidate after committing C is score (C ∪ {key}) − score C. *)
-        let ctx0 = Score.make_ctx g ~k in
+        let ctx0 = Score.ctx_of_dec g csr dec ~k in
         let locals =
           Array.of_list
             (List.map
@@ -44,7 +46,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                comps)
         in
         let n_comps = Array.length locals in
-        let per_comp = max 20 (max_candidates / n_comps) in
+        let per_comp = max 20 (gtm_candidates / n_comps) in
         let gain_of l key = Score.score l.lctx (Edge_key.endpoints key :: l.committed) - l.base in
         (* Lazy greedy: gains only shrink slowly as the graph grows, so a
            stale heap refreshed at the top commits the right edge with a
@@ -109,10 +111,9 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
         (List.rev !chosen, !timed_out)
       end)
 
-let cbtm_revenues ~g ~k ~budget =
-  let dec = Truss.Decompose.run g in
+let revenues_of_dec ~g ~csr ~dec ~k ~budget =
   let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
-  let ctx = Score.make_ctx g ~k in
+  let ctx = Score.ctx_of_dec g csr dec ~k in
   let revenue comp =
     let conv = Convert.convert ~ctx ~target:comp () in
     if conv.Convert.plan = [] || List.length conv.Convert.plan > budget then []
@@ -127,9 +128,13 @@ let cbtm_revenues ~g ~k ~budget =
   in
   Array.of_list (List.map revenue comps)
 
+let cbtm_revenues ~g ~k ~budget =
+  let csr = Csr.of_graph g in
+  revenues_of_dec ~g ~csr ~dec:(Truss.Decompose.of_csr csr) ~k ~budget
+
 let cbtm ~g ~k ~budget =
-  Outcome.timed ~original:g ~k (fun () ->
-      let revenues = cbtm_revenues ~g ~k ~budget in
+  Outcome.timed ~original:g ~k (fun ~csr ~dec ->
+      let revenues = revenues_of_dec ~g ~csr ~dec ~k ~budget in
       let alloc = Dp.binary ~revenues ~budget in
       let inserted =
         List.concat_map

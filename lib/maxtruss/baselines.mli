@@ -15,15 +15,9 @@ open Graphcore
 
 val rd : rng:Rng.t -> g:Graph.t -> k:int -> budget:int -> Outcome.t
 
-val gtm :
-  g:Graph.t ->
-  k:int ->
-  budget:int ->
-  ?max_candidates:int ->
-  ?time_limit_s:float ->
-  unit ->
-  Outcome.t
-(** Defaults: 2000 candidates, 120 s guard. *)
+val gtm : g:Graph.t -> k:int -> budget:int -> ?time_limit_s:float -> unit -> Outcome.t
+(** Each component's candidate pool is cut to its [max 20 (400 / components)]
+    highest-support pairs.  [time_limit_s] defaults to 120 s. *)
 
 val cbtm : g:Graph.t -> k:int -> budget:int -> Outcome.t
 

@@ -9,6 +9,11 @@ type t = {
 
 val empty : t
 
-val timed : (unit -> (int * int) list * bool) -> original:Graphcore.Graph.t -> k:int -> t
-(** Run the thunk, verify its insertions against the original graph's
-    k-truss, stamp wall-clock time. *)
+val timed :
+  (csr:Graphcore.Csr.t -> dec:Truss.Decompose.t -> (int * int) list * bool) ->
+  original:Graphcore.Graph.t ->
+  k:int ->
+  t
+(** Snapshot and decompose the original graph, run the algorithm on them,
+    verify its insertions against the same pair (the oracle peels only the
+    graph with the plan merged in), and stamp the algorithm's wall-clock time. *)

@@ -14,7 +14,6 @@ type config = {
   use_flow : bool;
   max_h : int;
   seed : int;
-  max_components : int option;
   time_limit_s : float option;
   min_level_budget : int;
       (** do not descend to the next (k-h) level for less remaining budget
@@ -36,7 +35,6 @@ let default_config ~k ~budget =
        so the default stops at 3.  Raise max_h for extreme budgets. *)
     max_h = max 1 (min 3 (k - 2));
     seed = 42;
-    max_components = None;
     time_limit_s = None;
     min_level_budget = 4;
   }
@@ -207,11 +205,6 @@ let run config g =
       Log.debug (fun m ->
           m "level h=%d: %d components over classes [%d, %d), budget left %d" !h
             (List.length comps) (k - !h) k !remaining);
-      let comps =
-        match config.max_components with
-        | Some cap -> List.filteri (fun i _ -> i < cap) comps
-        | None -> comps
-      in
       if comps = [] then begin
         if !h >= config.max_h then continue := false else incr h
       end

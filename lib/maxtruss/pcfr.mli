@@ -26,7 +26,6 @@ type config = {
       (** deepest (k-h) level to descend to; capped at k-2.  Default
           [min 3 (k-2)] — deeper classes are enormous and convert poorly *)
   seed : int;
-  max_components : int option;  (** per-level cap, largest first; None = all *)
   time_limit_s : float option;
   min_level_budget : int;
       (** do not descend to a deeper (k-h) level with less remaining budget

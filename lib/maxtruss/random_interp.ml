@@ -4,8 +4,8 @@ let c_repeats = Obs.Counter.make "random_interp.repeats"
 
 let g_best_repeat = Obs.Gauge.make "random_interp.best_repeat"
 
-let interpolate ~rng ~ctx ~component ~budget ~repeats ?max_pool ?forbidden () =
-  let pool = Candidate.pool ~g:ctx.Score.g ~component ?max_size:max_pool ?forbidden () in
+let interpolate ~rng ~ctx ~component ~budget ~repeats ?forbidden () =
+  let pool = Candidate.pool ~g:ctx.Score.g ~component ?forbidden () in
   if Array.length pool = 0 || budget < 1 then []
   else
     Obs.Span.with_ "random_interp.interpolate" @@ fun () ->

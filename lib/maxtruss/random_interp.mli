@@ -14,11 +14,11 @@ val interpolate :
   component:Edge_key.t list ->
   budget:int ->
   repeats:int ->
-  ?max_pool:int ->
   ?forbidden:Graph.t ->
   unit ->
   Plan.revenue
 (** [repeats] is the [r] of the paper (their experiments fix r = 10).
+    Each repeat draws from the component's whole {!Candidate.pool}.
     When [ctx] is a component-local context ({!Score.local_ctx}), pass the
     global graph as [forbidden] so candidates that already exist globally
     are never drawn. *)

@@ -52,25 +52,56 @@ let test_gtm_fig1 () =
   Alcotest.(check bool) "GTM achieves something" true (o.Outcome.score > 0);
   Alcotest.(check bool) "budget respected" true (List.length o.Outcome.inserted <= 4)
 
+let gowalla_sample () = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build ()
+
+(* A baseline's plan, sorted, and its verified score against a golden. *)
+let check_golden o ~plan ~score =
+  let sorted = List.sort compare (List.map (fun (u, v) -> (min u v, max u v)) o.Outcome.inserted) in
+  Alcotest.(check (list (pair int int))) "plan" plan sorted;
+  Alcotest.(check int) "score" score o.Outcome.score
+
 (* GTM on gowalla-sample (k = 6, b = 8): the sorted plan and its verified
    score.  Each greedy step scores a candidate against the component's
    committed plan, so a change to how commits feed later gains moves this
    plan. *)
 let test_gtm_golden_sample () =
-  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
-  let o = Baselines.gtm ~g ~k:6 ~budget:8 () in
-  let sorted = List.sort compare (List.map (fun (u, v) -> (min u v, max u v)) o.Outcome.inserted) in
-  Alcotest.(check (list (pair int int)))
-    "plan"
-    [ (4, 8); (5, 290); (45, 475); (149, 319); (163, 484); (187, 1074); (300, 384); (370, 1037) ]
-    sorted;
-  Alcotest.(check int) "score" 136 o.Outcome.score
+  let o = Baselines.gtm ~g:(gowalla_sample ()) ~k:6 ~budget:8 () in
+  check_golden o
+    ~plan:[ (4, 8); (5, 290); (45, 475); (149, 319); (163, 484); (187, 1074); (300, 384); (370, 1037) ]
+    ~score:136
+
+(* CBTM on gowalla-sample (k = 6, b = 30): the whole-component
+   conversions its binary DP picks (29 of the 30 edges spent). *)
+let test_cbtm_golden_sample () =
+  let o = Baselines.cbtm ~g:(gowalla_sample ()) ~k:6 ~budget:30 in
+  check_golden o
+    ~plan:
+      [
+        (0, 21); (0, 24); (0, 643); (1, 46); (2, 13); (2, 74); (4, 8); (5, 290); (18, 402);
+        (21, 1015); (22, 736); (37, 724); (37, 797); (74, 776); (74, 859); (78, 407); (110, 725);
+        (149, 859); (163, 484); (186, 1182); (187, 1074); (300, 384); (327, 1130); (370, 1037);
+        (425, 428); (498, 752); (541, 699); (704, 1148); (724, 849);
+      ]
+    ~score:255
+
+(* RD on gowalla-sample (k = 6, b = 30, rng seed 5): the draw from the
+   stable candidate pool. *)
+let test_rd_golden_sample () =
+  let o = Baselines.rd ~rng:(Rng.create 5) ~g:(gowalla_sample ()) ~k:6 ~budget:30 in
+  check_golden o
+    ~plan:
+      [
+        (2, 52); (2, 93); (2, 133); (2, 1037); (3, 957); (4, 36); (6, 27); (6, 68); (8, 297);
+        (9, 186); (10, 11); (10, 13); (10, 28); (10, 75); (11, 12); (13, 60); (14, 24);
+        (18, 704); (22, 749); (99, 163); (163, 488); (228, 1032); (319, 692); (319, 1100);
+        (541, 1072); (689, 1154); (704, 1148); (914, 1192); (1032, 1072); (1072, 1100);
+      ]
+    ~score:84
 
 (* A pair can sit in the candidate pools of several components; GTM must
    commit it once, so a b = 60 plan holds 60 distinct pairs. *)
 let test_gtm_distinct_pairs () =
-  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
-  let o = Baselines.gtm ~g ~k:6 ~budget:60 () in
+  let o = Baselines.gtm ~g:(gowalla_sample ()) ~k:6 ~budget:60 () in
   let keys =
     List.sort_uniq compare (List.map (fun (u, v) -> Edge_key.make u v) o.Outcome.inserted)
   in
@@ -106,6 +137,8 @@ let suite =
     Alcotest.test_case "CBTM revenues are binary" `Quick test_cbtm_revenues_single_pair;
     Alcotest.test_case "GTM on fig1" `Quick test_gtm_fig1;
     Alcotest.test_case "GTM golden plan on gowalla-sample" `Quick test_gtm_golden_sample;
+    Alcotest.test_case "CBTM golden plan on gowalla-sample" `Quick test_cbtm_golden_sample;
+    Alcotest.test_case "RD golden plan on gowalla-sample" `Quick test_rd_golden_sample;
     Alcotest.test_case "GTM commits each pair once" `Quick test_gtm_distinct_pairs;
     Alcotest.test_case "GTM time limit" `Quick test_gtm_respects_time_limit;
     Alcotest.test_case "ordering on small social" `Slow test_ordering_on_small_social;

@@ -61,12 +61,9 @@ let () =
       ("baselines", Test_baselines.suite);
       ("pcfr", Test_pcfr.suite);
       ("exact", Test_exact.suite);
-      ("anchor", Test_anchor.suite);
       ("kcore", Test_kcore.suite);
-      ("community", Test_community.suite);
       ("index", Test_index.suite);
       ("outcome", Test_outcome.suite);
-      ("weighted", Test_weighted.suite);
       ("datasets", Test_datasets.suite);
       ("json_min", Test_json_min.suite);
       ("obs", Test_obs.suite);

@@ -355,6 +355,35 @@ let test_pcfr_phase_spans () =
            l.Pcfr.components ))
        r.Pcfr.levels)
 
+(* A baseline snapshots and decomposes its input once, and the same pair
+   serves its scoring context and the oracle, which peels only the input
+   with the plan merged in. *)
+let test_baselines_peel_once () =
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  let count stats path =
+    match List.find_opt (fun (s : Obs.span_stat) -> s.Obs.path = path) stats with
+    | Some s -> s.Obs.count
+    | None -> 0
+  in
+  List.iter
+    (fun (name, run) ->
+      with_obs @@ fun () ->
+      ignore (run ());
+      let stats = Obs.span_stats () in
+      List.iter
+        (fun (path, n) -> Alcotest.(check int) (name ^ ": " ^ path) n (count stats path))
+        [
+          ("csr.of_graph", 1);
+          ("truss.decompose", 1);
+          ("score.evaluate_oracle/csr.of_graph", 0);
+          ("score.evaluate_oracle/truss.decompose", 1);
+        ])
+    [
+      ("cbtm", fun () -> Baselines.cbtm ~g ~k:6 ~budget:30);
+      ("gtm", fun () -> Baselines.gtm ~g ~k:6 ~budget:30 ());
+      ("rd", fun () -> Baselines.rd ~rng:(Graphcore.Rng.create 5) ~g ~k:6 ~budget:30);
+    ]
+
 let boom_line = __LINE__ + 3
 
 let[@inline never] boom () =
@@ -1073,6 +1102,7 @@ let suite =
     Alcotest.test_case "exported JSON parses" `Quick test_exported_json_parses;
     Alcotest.test_case "metrics contract fields" `Quick test_metrics_contract;
     Alcotest.test_case "PCFR phases have spans" `Quick test_pcfr_phase_spans;
+    Alcotest.test_case "baselines peel their input once" `Quick test_baselines_peel_once;
     Alcotest.test_case "with_ preserves backtraces" `Quick test_with_preserves_backtrace;
     Alcotest.test_case "?args JSON escaping (both exporters)" `Quick
       test_args_json_escaping;

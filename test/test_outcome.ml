@@ -3,14 +3,20 @@ open Maxtruss
 
 let test_timed_scores_against_original () =
   let g = Helpers.fig1 () in
-  let o = Outcome.timed ~original:g ~k:4 (fun () -> ([ (2, 7) ], false)) in
+  let o =
+    Outcome.timed ~original:g ~k:4 (fun ~csr ~dec ->
+        (* the thunk runs on the original's snapshot and decomposition *)
+        Alcotest.(check int) "snapshot of the original" (Graph.num_edges g) (Csr.num_edges csr);
+        Alcotest.(check int) "its decomposition" (Graph.num_edges g) (Truss.Decompose.num_edges dec);
+        ([ (2, 7) ], false))
+  in
   Alcotest.(check int) "verified score" 5 o.Outcome.score;
   Alcotest.(check bool) "not timed out" false o.Outcome.timed_out;
   Alcotest.(check bool) "time recorded" true (o.Outcome.time_s >= 0.0)
 
 let test_timed_empty_plan () =
   let g = Helpers.fig1 () in
-  let o = Outcome.timed ~original:g ~k:4 (fun () -> ([], true)) in
+  let o = Outcome.timed ~original:g ~k:4 (fun ~csr:_ ~dec:_ -> ([], true)) in
   Alcotest.(check int) "zero score" 0 o.Outcome.score;
   Alcotest.(check bool) "timeout propagated" true o.Outcome.timed_out
 
