@@ -1,6 +1,7 @@
-(* Bechamel micro-benchmarks: one Test.make per paper artifact, each
-   exercising the computational core of that table/figure at a miniature
-   scale so the statistics converge in seconds.  The full-scale experiment
+(* Bechamel micro-benchmarks: one kernel — a baseline name and one run —
+   per paper artifact, each exercising the computational core of that
+   table/figure at a miniature scale so the statistics converge in
+   seconds.  The full-scale experiment
    harness (exp_*.ml) prints the actual paper-shaped tables; this suite
    measures the kernels' per-iteration cost.
 
@@ -24,48 +25,48 @@ let k = 6
 
 (* Table IV kernel: one full PCFR run on a small graph. *)
 let test_table4 =
-  Test.make ~name:"table4/pcfr_small"
-    (Staged.stage (fun () ->
-         let g = Lazy.force small_graph in
-         ignore (Maxtruss.Pcfr.pcfr ~g ~k ~budget:20 ())))
+  ( "table4/pcfr_small",
+    fun () ->
+      let g = Lazy.force small_graph in
+      ignore (Maxtruss.Pcfr.pcfr ~g ~k ~budget:20 ()))
 
 (* Fig. 4/5 kernel: a CBTM run (the baseline sweeps repeat this shape). *)
 let test_fig45 =
-  Test.make ~name:"fig4-5/cbtm_small"
-    (Staged.stage (fun () ->
-         let g = Lazy.force small_graph in
-         ignore (Maxtruss.Baselines.cbtm ~g ~k ~budget:20)))
+  ( "fig4-5/cbtm_small",
+    fun () ->
+      let g = Lazy.force small_graph in
+      ignore (Maxtruss.Baselines.cbtm ~g ~k ~budget:20))
 
 (* Fig. 6(a) kernel: random interpolation of one component. *)
 let test_fig6a =
-  Test.make ~name:"fig6a/random_interp"
-    (Staged.stage (fun () ->
-         let g = Lazy.force small_graph in
-         let dec = Truss.Decompose.run g in
-         match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
-         | [] -> ()
-         | comp :: _ ->
-           let ctx = Maxtruss.Score.make_ctx g ~k in
-           let lctx = Maxtruss.Score.local_ctx ctx ~component:comp in
-           ignore
-             (Maxtruss.Random_interp.interpolate ~rng:(Graphcore.Rng.create 3) ~ctx:lctx
-                ~component:comp ~budget:10 ~repeats:10 ~forbidden:g ())))
+  ( "fig6a/random_interp",
+    fun () ->
+      let g = Lazy.force small_graph in
+      let dec = Truss.Decompose.run g in
+      match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
+      | [] -> ()
+      | comp :: _ ->
+        let ctx = Maxtruss.Score.make_ctx g ~k in
+        let lctx = Maxtruss.Score.local_ctx ctx ~component:comp in
+        ignore
+          (Maxtruss.Random_interp.interpolate ~rng:(Graphcore.Rng.create 3) ~ctx:lctx
+             ~component:comp ~budget:10 ~repeats:10 ~forbidden:g ()))
 
 (* Fig. 6(b) kernel: onion peel + DAG construction. *)
 let test_fig6b =
-  Test.make ~name:"fig6b/block_dag"
-    (Staged.stage (fun () ->
-         let g = Lazy.force small_graph in
-         let dec = Truss.Decompose.run g in
-         match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
-         | [] -> ()
-         | comp :: _ ->
-           let ctx = Maxtruss.Score.make_ctx g ~k in
-           let h =
-             Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp
-           in
-           let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
-           ignore (Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion)))
+  ( "fig6b/block_dag",
+    fun () ->
+      let g = Lazy.force small_graph in
+      let dec = Truss.Decompose.run g in
+      match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
+      | [] -> ()
+      | comp :: _ ->
+        let ctx = Maxtruss.Score.make_ctx g ~k in
+        let h =
+          Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp
+        in
+        let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
+        ignore (Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion))
 
 (* Table V / Fig. 7 kernels: the three DPs on a fixed synthetic menu set. *)
 let menus =
@@ -86,31 +87,31 @@ let menus =
          build 0 0 [] 4))
 
 let test_table5_sequential =
-  Test.make ~name:"table5/sequential_dp"
-    (Staged.stage (fun () ->
-         ignore (Maxtruss.Dp.sequential ~revenues:(Lazy.force menus) ~budget:100)))
+  ( "table5/sequential_dp",
+    fun () ->
+      ignore (Maxtruss.Dp.sequential ~revenues:(Lazy.force menus) ~budget:100))
 
 let test_table5_sorted =
-  Test.make ~name:"table5/sorted_dp"
-    (Staged.stage (fun () ->
-         ignore (Maxtruss.Dp.sorted ~revenues:(Lazy.force menus) ~budget:100)))
+  ( "table5/sorted_dp",
+    fun () ->
+      ignore (Maxtruss.Dp.sorted ~revenues:(Lazy.force menus) ~budget:100))
 
 let test_fig7_binary =
-  Test.make ~name:"fig7/binary_dp"
-    (Staged.stage (fun () ->
-         ignore (Maxtruss.Dp.binary ~revenues:(Lazy.force menus) ~budget:100)))
+  ( "fig7/binary_dp",
+    fun () ->
+      ignore (Maxtruss.Dp.binary ~revenues:(Lazy.force menus) ~budget:100))
 
 (* Fig. 8 kernel: full conversion of one component. *)
 let test_fig8 =
-  Test.make ~name:"fig8/complete_conversion"
-    (Staged.stage (fun () ->
-         let g = Lazy.force small_graph in
-         let dec = Truss.Decompose.run g in
-         match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
-         | [] -> ()
-         | comp :: _ ->
-           let ctx = Maxtruss.Score.make_ctx g ~k in
-           ignore (Maxtruss.Convert.convert ~ctx ~target:comp ())))
+  ( "fig8/complete_conversion",
+    fun () ->
+      let g = Lazy.force small_graph in
+      let dec = Truss.Decompose.run g in
+      match Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k with
+      | [] -> ()
+      | comp :: _ ->
+        let ctx = Maxtruss.Score.make_ctx g ~k in
+        ignore (Maxtruss.Convert.convert ~ctx ~target:comp ()))
 
 (* --- CSR kernel layer vs. hashtable reference ----------------------------- *)
 
@@ -167,26 +168,26 @@ let kernel_dinic_net =
 let kname kernel = Printf.sprintf "kernels/%s@%s" kernel kernel_dataset
 
 let test_csr_build =
-  Test.make ~name:(kname "csr_build")
-    (Staged.stage (fun () -> ignore (Graphcore.Csr.of_graph (Lazy.force kernel_graph))))
+  ( kname "csr_build",
+    fun () -> ignore (Graphcore.Csr.of_graph (Lazy.force kernel_graph)))
 
 let test_csr_support =
-  Test.make ~name:(kname "csr_support")
-    (Staged.stage (fun () -> ignore (Truss.Support.all_csr (Lazy.force kernel_csr))))
+  ( kname "csr_support",
+    fun () -> ignore (Truss.Support.all_csr (Lazy.force kernel_csr)))
 
 let test_csr_decompose =
-  Test.make ~name:(kname "csr_decompose")
-    (Staged.stage (fun () ->
-         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
+  ( kname "csr_decompose",
+    fun () ->
+      ignore (Truss.Decompose.run (Lazy.force kernel_graph)))
 
 let test_csr_onion =
-  Test.make ~name:(kname "csr_onion")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_onion with
-         | None -> ()
-         | Some (h, kd, comp) ->
-           (* the peel never mutates h, so no defensive copy *)
-           ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
+  ( kname "csr_onion",
+    fun () ->
+      match Lazy.force kernel_onion with
+      | None -> ()
+      | Some (h, kd, comp) ->
+        (* the peel never mutates h, so no defensive copy *)
+        ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ()))
 
 (* Scoring fixture: the five largest (k-1)-class components of the kernel
    dataset at its default k, each with its local scoring context and the
@@ -211,11 +212,11 @@ let kernel_score_plans =
 (* PCFR's inner scoring loop: each full-conversion plan scored on its
    component's frame (the frames are built once, outside the timed region). *)
 let test_score_local =
-  Test.make ~name:(kname "score_local")
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (lctx, plan) -> ignore (Maxtruss.Score.score lctx plan))
-           (Lazy.force kernel_score_plans)))
+  ( kname "score_local",
+    fun () ->
+      List.iter
+        (fun (lctx, plan) -> ignore (Maxtruss.Score.score lctx plan))
+        (Lazy.force kernel_score_plans))
 
 (* Maintenance fixture: 20 fixed churn batches against the kernel
    dataset's snapshot, shaped like the service's `mutate` stream — two
@@ -256,16 +257,16 @@ let kernel_batches =
 (* The daemon's incremental `mutate` kernel: every fixture batch through
    the batch maintenance on the shared snapshot. *)
 let test_maintain_batch =
-  Test.make ~name:(kname "maintain_batch")
-    (Staged.stage (fun () ->
-         let dec, batches = Lazy.force kernel_batches in
-         List.iter
-           (fun (inserted, deleted) ->
-             ignore
-               (Truss.Maintain.batch_update_csr ~csr:(Lazy.force kernel_csr)
-                  ~tau:(Truss.Decompose.trussness_opt dec) ~kmax:(Truss.Decompose.kmax dec)
-                  ~inserted ~deleted))
-           batches))
+  ( kname "maintain_batch",
+    fun () ->
+      let dec, batches = Lazy.force kernel_batches in
+      List.iter
+        (fun (inserted, deleted) ->
+          ignore
+            (Truss.Maintain.batch_update_csr ~csr:(Lazy.force kernel_csr)
+               ~tau:(Truss.Decompose.trussness_opt dec) ~kmax:(Truss.Decompose.kmax dec)
+               ~inserted ~deleted))
+        batches)
 
 (* Parametric g-sweep vs the per-probe rebuild baseline on the fixture DAG.
    Same probes/weights as PCFR's default sweep; the two engines are
@@ -273,29 +274,29 @@ let test_maintain_batch =
    (the warm kernel is the perf-gate artifact, the rebuild kernel the
    reference it must beat). *)
 let test_flow_sweep_warm =
-  Test.make ~name:(kname "flow_sweep_warm")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_dag with
-         | None -> ()
-         | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ())))
+  ( kname "flow_sweep_warm",
+    fun () ->
+      match Lazy.force kernel_dag with
+      | None -> ()
+      | Some dag ->
+        ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ()))
 
 let test_flow_sweep_rebuild =
-  Test.make ~name:(kname "flow_sweep_rebuild")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_dag with
-         | None -> ()
-         | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Rebuild ~dag ~w1:1 ~w2:1 ~probes:10 ())))
+  ( kname "flow_sweep_rebuild",
+    fun () ->
+      match Lazy.force kernel_dag with
+      | None -> ()
+      | Some dag ->
+        ignore (Maxtruss.Flow_plan.sweep ~impl:`Rebuild ~dag ~w1:1 ~w2:1 ~probes:10 ()))
 
 (* Raw CSR Dinic: one zero-flow max-flow solve on a prebuilt 2k-node layered
    network (reset is a capacity blit, negligible next to the solve). *)
 let test_dinic_csr =
-  Test.make ~name:"kernels/dinic_csr@layered2k"
-    (Staged.stage (fun () ->
-         let net, s, t = Lazy.force kernel_dinic_net in
-         Flow.Flow_network.reset net;
-         ignore (Flow.Dinic.max_flow net ~s ~t)))
+  ( "kernels/dinic_csr@layered2k",
+    fun () ->
+      let net, s, t = Lazy.force kernel_dinic_net in
+      Flow.Flow_network.reset net;
+      ignore (Flow.Dinic.max_flow net ~s ~t))
 
 (* Service replay kernel: a fixed mixed workload — five reads plus two small
    mutation batches — against a store seeded from a prebuilt epoch.  The
@@ -305,31 +306,31 @@ let test_dinic_csr =
 let kernel_serve_epoch = lazy (Service.Epoch.create (Lazy.force small_graph))
 
 let test_serve_replay =
-  Test.make ~name:"kernels/serve_replay@small"
-    (Staged.stage (fun () ->
-         let store = Service.Store.create (Lazy.force kernel_serve_epoch) in
-         let epoch = Service.Store.current store in
-         let read req = ignore (Service.Request.handle_read ~epoch req) in
-         read Service.Request.Decompose;
-         read (Service.Request.Stats { detail = false });
-         read (Service.Request.Truss_query { k; limit = Some 50 });
-         read (Service.Request.Onion { k; limit = Some 20 });
-         read (Service.Request.Trussness [ (0, 1); (1, 2); (2, 3) ]);
-         let edges = Graphcore.Graph.edge_array (Lazy.force small_graph) in
-         let del i =
-           let u, v = Graphcore.Edge_key.endpoints edges.(i) in
-           Service.Mutation_log.Delete (u, v)
-         in
-         let o1 =
-           Service.Mutation_log.apply store
-             [ del 0; del 7; Service.Mutation_log.Insert (1000, 1001) ]
-         in
-         ignore
-           (Service.Request.handle_read ~epoch:o1.Service.Mutation_log.epoch
-              Service.Request.Decompose);
-         ignore
-           (Service.Mutation_log.apply store
-              [ del 13; Service.Mutation_log.Insert (1001, 1002) ])))
+  ( "kernels/serve_replay@small",
+    fun () ->
+      let store = Service.Store.create (Lazy.force kernel_serve_epoch) in
+      let epoch = Service.Store.current store in
+      let read req = ignore (Service.Request.handle_read ~epoch req) in
+      read Service.Request.Decompose;
+      read (Service.Request.Stats { detail = false });
+      read (Service.Request.Truss_query { k; limit = Some 50 });
+      read (Service.Request.Onion { k; limit = Some 20 });
+      read (Service.Request.Trussness [ (0, 1); (1, 2); (2, 3) ]);
+      let edges = Graphcore.Graph.edge_array (Lazy.force small_graph) in
+      let del i =
+        let u, v = Graphcore.Edge_key.endpoints edges.(i) in
+        Service.Mutation_log.Delete (u, v)
+      in
+      let o1 =
+        Service.Mutation_log.apply store
+          [ del 0; del 7; Service.Mutation_log.Insert (1000, 1001) ]
+      in
+      ignore
+        (Service.Request.handle_read ~epoch:o1.Service.Mutation_log.epoch
+           Service.Request.Decompose);
+      ignore
+        (Service.Mutation_log.apply store
+           [ del 13; Service.Mutation_log.Insert (1001, 1002) ]))
 
 (* The two CSR kernels that fork — support counting, and the decompose
    whose support pass it is — under a 2-domain pool.  Kept last in the
@@ -338,26 +339,29 @@ let test_serve_replay =
    finishes.  [Par.set_domains] is a cheap no-op after the
    first call, so it adds nothing measurable to the per-run cost. *)
 let test_csr_support_par2 =
-  Test.make ~name:(kname "csr_support_par2")
-    (Staged.stage (fun () ->
-         Par.set_domains 2;
-         ignore (Truss.Support.all_csr (Lazy.force kernel_csr))))
+  ( kname "csr_support_par2",
+    fun () ->
+      Par.set_domains 2;
+      ignore (Truss.Support.all_csr (Lazy.force kernel_csr)))
 
 let test_csr_decompose_par2 =
-  Test.make ~name:(kname "csr_decompose_par2")
-    (Staged.stage (fun () ->
-         Par.set_domains 2;
-         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
+  ( kname "csr_decompose_par2",
+    fun () ->
+      Par.set_domains 2;
+      ignore (Truss.Decompose.run (Lazy.force kernel_graph)))
 
-(* One kernel's multi-sample measurement: Bechamel's raw linear-regression
-   samples, normalized per run, feed the median/MAD baseline statistics
+(* One kernel's measurement: Bechamel's raw linear-regression samples,
+   normalized per run, feed the median/MAD time statistics
    (Perf_baseline) while the OLS estimate keeps the familiar printed
-   number and the legacy --json "ns_per_run" value. *)
+   number and the legacy --json "ns_per_run" value.  Allocation is counted
+   apart from the samples, over warm runs, with {!Obs.allocated_words}:
+   Bechamel's major_allocated moves only at major collections, so its
+   per-run figure depended on when the major GC happened to run. *)
 type kernel_run = {
   kr_name : string;
   kr_ns_est : float;  (* Bechamel OLS ns/run estimate *)
   kr_ns : float array;  (* per-sample wall time, ns/run *)
-  kr_alloc_w : float array;  (* per-sample minor+major-promoted words/run *)
+  kr_alloc_w : float array;  (* words allocated by each of three warm runs *)
 }
 
 let per_run raws ~f =
@@ -367,13 +371,19 @@ let per_run raws ~f =
          if runs > 0. then Some (f raw /. runs) else None)
   |> Array.of_list
 
+let warm_alloc_w run =
+  Array.init 3 (fun _ ->
+      let w0 = Obs.allocated_words () in
+      run ();
+      Obs.allocated_words () -. w0)
+
 (* [quota_s] bounds the sampling time per kernel.  The 1s default keeps the
    interactive run snappy; baseline recording passes a larger quota so even
    the slowest kernel (csr_decompose, ~0.1s/run) collects the >= 5 samples
    the median/MAD statistics need (samples ramp linearly in run count, so
    N samples cost ~N*(N+1)/2 runs). *)
 let benchmark ?(quota_s = 1.0) () =
-  let tests =
+  let kernels =
     [
       test_table4;
       test_fig45;
@@ -397,39 +407,28 @@ let benchmark ?(quota_s = 1.0) () =
       test_csr_decompose_par2;
     ]
   in
-  let instances =
-    Instance.[ monotonic_clock; minor_allocated; major_allocated; promoted ]
-  in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second quota_s) ~kde:(Some 100) () in
   let saved_domains = Par.domains () in
   Fun.protect ~finally:(fun () -> Par.set_domains saved_domains) @@ fun () ->
-  let acc = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name (result : Benchmark.t) ->
-          let raws = result.Benchmark.lr in
-          let ns = per_run raws ~f:(Measurement_raw.get ~label:"monotonic-clock") in
-          let alloc_w =
-            per_run raws ~f:(fun raw ->
-                Measurement_raw.get ~label:"minor-allocated" raw
-                +. Measurement_raw.get ~label:"major-allocated" raw
-                -. Measurement_raw.get ~label:"promoted" raw)
-          in
-          let stats =
-            Analyze.one (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-              Instance.monotonic_clock result
-          in
-          let est =
-            match Analyze.OLS.estimates stats with
-            | Some [ est ] -> est
-            | _ -> Perf_baseline.median ns
-          in
-          acc := { kr_name = name; kr_ns_est = est; kr_ns = ns; kr_alloc_w = alloc_w } :: !acc;
-          Printf.printf "%-34s %14.0f ns/run  (median %.0f +- %.0f mad, %d samples, %.0fw/run)\n%!"
-            name est (Perf_baseline.median ns) (Perf_baseline.mad ns) (Array.length ns)
-            (Perf_baseline.median alloc_w))
-        results)
-    tests;
-  List.rev !acc
+  List.map
+    (fun (name, run) ->
+      let results =
+        Benchmark.all cfg Instance.[ monotonic_clock ] (Test.make ~name (Staged.stage run))
+      in
+      let result = Hashtbl.find results name in
+      let ns = per_run result.Benchmark.lr ~f:(Measurement_raw.get ~label:"monotonic-clock") in
+      let alloc_w = warm_alloc_w run in
+      let stats =
+        Analyze.one (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
+          Instance.monotonic_clock result
+      in
+      let est =
+        match Analyze.OLS.estimates stats with
+        | Some [ est ] -> est
+        | _ -> Perf_baseline.median ns
+      in
+      Printf.printf "%-34s %14.0f ns/run  (median %.0f +- %.0f mad, %d samples, %.0fw/run)\n%!"
+        name est (Perf_baseline.median ns) (Perf_baseline.mad ns) (Array.length ns)
+        (Perf_baseline.median alloc_w);
+      { kr_name = name; kr_ns_est = est; kr_ns = ns; kr_alloc_w = alloc_w })
+    kernels

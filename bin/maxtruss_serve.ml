@@ -29,20 +29,6 @@ let host_arg =
   let doc = "Bind address for --tcp (default: loopback)." in
   Arg.(value & opt string "" & info [ "host" ] ~docv:"HOST" ~doc)
 
-let fallback_arg =
-  let doc =
-    "Mutation batches whose net edge changes exceed this fraction of the current edge \
-     count abandon incremental maintenance and rebuild the decomposition from scratch \
-     (counted by the service.maintain_fallbacks metric)."
-  in
-  Arg.(value & opt float Service.Mutation_log.default_config.Service.Mutation_log.fallback_fraction
-       & info [ "fallback-fraction" ] ~docv:"F" ~doc)
-
-let max_batch_arg =
-  let doc = "Most pipelined read requests evaluated against one epoch pin." in
-  Arg.(value & opt int Service.Server.default_config.Service.Server.max_batch
-       & info [ "max-batch" ] ~docv:"N" ~doc)
-
 let assert_openmetrics_flag =
   let doc =
     "After serving, validate the OpenMetrics exposition's shape (implies collection on); \
@@ -67,8 +53,8 @@ let metrics_socket_arg =
   Arg.(value & opt (some string) None & info [ "metrics-socket" ] ~docv:"PATH" ~doc)
 
 let serve_cmd =
-  let run input dataset domains stdin_mode socket tcp host fallback_fraction max_batch stats
-      metrics trace openmetrics assert_om flight_record flight_dump event_log metrics_socket =
+  let run input dataset domains stdin_mode socket tcp host stats metrics trace openmetrics assert_om
+      flight_record flight_dump event_log metrics_socket =
     match load_graph input dataset with
     | Error e ->
       Printf.eprintf "%s\n" e;
@@ -78,70 +64,63 @@ let serve_cmd =
       enable_obs_if_requested ~stats ~metrics ~trace ~openmetrics;
       if assert_om then Obs.set_enabled true;
       setup_flight_recorder ~capacity:flight_record ~dump:flight_dump;
-      if fallback_fraction < 0. then begin
-        Printf.eprintf "--fallback-fraction must be non-negative\n";
-        1
-      end
-      else begin
-        let epoch = Service.Epoch.create g in
-        let store = Service.Store.create epoch in
-        let config = { Service.Server.fallback_fraction; max_batch = max max_batch 1 } in
-        (* Protocol traffic owns stdout; everything human goes to stderr. *)
-        Printf.eprintf "[serve] epoch 0: %d nodes, %d edges, kmax %d\n%!"
-          (Service.Epoch.num_nodes epoch) (Service.Epoch.num_edges epoch)
-          (Service.Epoch.kmax epoch);
-        (match event_log with
-        | None -> ()
+      let epoch = Service.Epoch.create g in
+      let store = Service.Store.create epoch in
+      (* Protocol traffic owns stdout; everything human goes to stderr. *)
+      Printf.eprintf "[serve] epoch 0: %d nodes, %d edges, kmax %d\n%!"
+        (Service.Epoch.num_nodes epoch) (Service.Epoch.num_edges epoch)
+        (Service.Epoch.kmax epoch);
+      (match event_log with
+      | None -> ()
+      | Some path ->
+        Obs.Events.configure path;
+        Printf.eprintf "[serve] event log: %s\n%!" path);
+      let metrics_fd =
+        match metrics_socket with
+        | None -> None
         | Some path ->
-          Obs.Events.configure path;
-          Printf.eprintf "[serve] event log: %s\n%!" path);
-        let metrics_fd =
-          match metrics_socket with
-          | None -> None
-          | Some path ->
-            (* The exposition is empty without collection on. *)
-            Obs.set_enabled true;
-            let fd = Service.Metrics_endpoint.bind_unix ~path in
-            Printf.eprintf "[serve] metrics scrape on unix socket %s\n%!" path;
-            Some fd
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.Events.close ();
-            match (metrics_fd, metrics_socket) with
-            | Some fd, Some path -> Service.Metrics_endpoint.close_unix ~path fd
-            | _ -> ())
-        @@ fun () ->
-        (match (socket, tcp) with
-        | Some path, None ->
-          Printf.eprintf "[serve] listening on unix socket %s\n%!" path;
-          Service.Server.listen_unix ~config ?metrics:metrics_fd ~path store
-        | None, Some port ->
-          Printf.eprintf "[serve] listening on tcp port %d\n%!" port;
-          Service.Server.listen_tcp ~config ?metrics:metrics_fd ~host ~port store
-        | Some _, Some _ ->
-          Printf.eprintf "pass either --socket or --tcp, not both\n";
-          exit 1
-        | None, None ->
-          ignore stdin_mode;
-          ignore (Service.Server.serve_stdin ~config ?metrics:metrics_fd store));
-        let final = Service.Store.current store in
-        Printf.eprintf "[serve] done at generation %d: %d edges, kmax %d, %d fallbacks\n%!"
-          (Service.Epoch.generation final) (Service.Epoch.num_edges final)
-          (Service.Epoch.kmax final)
-          (Service.Mutation_log.fallback_count ());
-        if Obs.Events.active () then
-          Printf.eprintf "[serve] event log: %d events written\n%!" (Obs.Events.written ());
-        let ok = ref (export_obs ~stats ~metrics ~trace ~openmetrics) in
-        if assert_om then begin
-          match Obs.lint_openmetrics (Obs.openmetrics ()) with
-          | Ok lines -> Printf.eprintf "[serve] openmetrics export ok: %d lines\n%!" lines
-          | Error e ->
-            Printf.eprintf "[serve] openmetrics assertion failed: %s\n%!" e;
-            ok := false
-        end;
-        if !ok then 0 else 1
-      end
+          (* The exposition is empty without collection on. *)
+          Obs.set_enabled true;
+          let fd = Service.Metrics_endpoint.bind_unix ~path in
+          Printf.eprintf "[serve] metrics scrape on unix socket %s\n%!" path;
+          Some fd
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Events.close ();
+          match (metrics_fd, metrics_socket) with
+          | Some fd, Some path -> Service.Metrics_endpoint.close_unix ~path fd
+          | _ -> ())
+      @@ fun () ->
+      (match (socket, tcp) with
+      | Some path, None ->
+        Printf.eprintf "[serve] listening on unix socket %s\n%!" path;
+        Service.Server.listen_unix ?metrics:metrics_fd ~path store
+      | None, Some port ->
+        Printf.eprintf "[serve] listening on tcp port %d\n%!" port;
+        Service.Server.listen_tcp ?metrics:metrics_fd ~host ~port store
+      | Some _, Some _ ->
+        Printf.eprintf "pass either --socket or --tcp, not both\n";
+        exit 1
+      | None, None ->
+        ignore stdin_mode;
+        ignore (Service.Server.serve_stdin ?metrics:metrics_fd store));
+      let final = Service.Store.current store in
+      Printf.eprintf "[serve] done at generation %d: %d edges, kmax %d, %d fallbacks\n%!"
+        (Service.Epoch.generation final) (Service.Epoch.num_edges final)
+        (Service.Epoch.kmax final)
+        (Service.Mutation_log.fallback_count ());
+      if Obs.Events.active () then
+        Printf.eprintf "[serve] event log: %d events written\n%!" (Obs.Events.written ());
+      let ok = ref (export_obs ~stats ~metrics ~trace ~openmetrics) in
+      if assert_om then begin
+        match Obs.lint_openmetrics (Obs.openmetrics ()) with
+        | Ok lines -> Printf.eprintf "[serve] openmetrics export ok: %d lines\n%!" lines
+        | Error e ->
+          Printf.eprintf "[serve] openmetrics assertion failed: %s\n%!" e;
+          ok := false
+      end;
+      if !ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "maxtruss-serve" ~version:"1.0.0"
@@ -150,7 +129,7 @@ let serve_cmd =
           mutations over line-delimited JSON")
     Term.(
       const run $ input $ dataset_opt $ domains_arg $ stdin_flag $ socket_arg $ tcp_arg
-      $ host_arg $ fallback_arg $ max_batch_arg $ stats_flag $ metrics_out $ trace_out
+      $ host_arg $ stats_flag $ metrics_out $ trace_out
       $ openmetrics_out $ assert_openmetrics_flag $ flight_record_arg $ flight_dump_arg
       $ event_log_arg $ metrics_socket_arg)
 

@@ -100,8 +100,6 @@ let arc_dst t id = t.arc_dst.(id)
 
 let arc_cap t id = t.arc_cap.(id)
 
-let arc_src t id = t.arc_dst.(id lxor 1)
-
 let initial_cap t id = t.arc_init.(id)
 
 let send t id amount =

@@ -26,9 +26,6 @@ val arc_dst : t -> int -> int
 val arc_cap : t -> int -> int
 (** Remaining residual capacity of the arc. *)
 
-val arc_src : t -> int -> int
-(** Source node of the arc (the destination of its twin). *)
-
 val initial_cap : t -> int -> int
 (** Capacity the arc was created with (or last {!set_cap} value). *)
 

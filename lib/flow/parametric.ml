@@ -50,8 +50,6 @@ let create ~nodes ~source ~sink =
     low = None;
   }
 
-let network t = t.net
-
 let add_arc t ~src ~dst ~cap =
   if t.solved then invalid_arg "Parametric.add_arc: network already solved";
   ignore (Flow_network.add_arc t.net ~src ~dst ~cap)

@@ -44,7 +44,3 @@ val solve : t -> g:int -> Min_cut.t
 (** The minimum cut at parameter [g], with the {e maximal} source side
     (see {!Min_cut.compute_max}).  Warm-starts as described above; the
     result is bit-identical to rebuilding and solving from scratch at [g]. *)
-
-val network : t -> Flow_network.t
-(** The underlying network (left in its last solved state); exposed for
-    tests and diagnostics. *)

@@ -48,8 +48,6 @@ let update = add
 
 let priority t item = Hashtbl.find_opt t.prio item
 
-let is_empty t = t.size = 0
-
 let cardinal t = t.size
 
 let bucket_length t p = match t.buckets.(p) with None -> 0 | Some h -> Hashtbl.length h

@@ -26,5 +26,4 @@ val update : t -> int -> int -> unit
 val pop_min : t -> (int * int) option
 (** Extract an item of minimum priority, with that priority. *)
 
-val is_empty : t -> bool
 val cardinal : t -> int

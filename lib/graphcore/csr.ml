@@ -290,8 +290,6 @@ let iter_common_neighbors_eid t u v f =
     end
   end
 
-let iter_common_neighbors t u v f = iter_common_neighbors_eid t u v (fun w _ _ -> f w)
-
 let count_common_neighbors t u v =
   let c = ref 0 in
   iter_common_neighbors_eid t u v (fun _ _ _ -> incr c);

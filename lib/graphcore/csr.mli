@@ -90,14 +90,12 @@ val iter_neighbors_eid : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors_eid t u f] calls [f v eid] for each neighbor [v] (in
     ascending order) with the edge id of [(u, v)]. *)
 
-val iter_common_neighbors : t -> int -> int -> (int -> unit) -> unit
-(** Sorted-row intersection: linear two-pointer merge for comparable
-    degrees, galloping (exponential probe + binary search) into the longer
-    row when the degrees are badly skewed. *)
-
 val iter_common_neighbors_eid : t -> int -> int -> (int -> int -> int -> unit) -> unit
 (** [iter_common_neighbors_eid t u v f] calls [f w e_uw e_vw] for every
-    common neighbor [w], passing the edge ids of [(u, w)] and [(v, w)]. *)
+    common neighbor [w], passing the edge ids of [(u, w)] and [(v, w)].
+    Sorted-row intersection: linear two-pointer merge for comparable
+    degrees, galloping (exponential probe + binary search) into the longer
+    row when the degrees are badly skewed. *)
 
 val count_common_neighbors : t -> int -> int -> int
 (** Support of the edge [(u, v)] (the edge itself need not exist). *)

@@ -12,9 +12,6 @@ let make u v =
 
 let endpoints k = (k lsr bits, k land mask)
 
-let fst k = k lsr bits
-let snd k = k land mask
-
 let other k u =
   let a, b = endpoints k in
   if u = a then b
@@ -23,7 +20,3 @@ let other k u =
 
 let compare = Int.compare
 let equal = Int.equal
-
-let pp ppf k =
-  let u, v = endpoints k in
-  Format.fprintf ppf "(%d,%d)" u v

@@ -18,13 +18,9 @@ val make : int -> int -> t
 val endpoints : t -> int * int
 (** [endpoints k] returns [(u, v)] with [u < v]. *)
 
-val fst : t -> int
-val snd : t -> int
-
 val other : t -> int -> int
 (** [other k u] is the endpoint of [k] that is not [u].  Raises
     [Invalid_argument] if [u] is not an endpoint. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -154,5 +154,3 @@ let equal a b =
   let ok = ref true in
   iter_edges a (fun u v -> if not (mem_edge b u v) then ok := false);
   !ok
-
-let pp ppf g = Format.fprintf ppf "graph<%d nodes, %d edges>" g.nodes g.edges

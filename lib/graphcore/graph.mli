@@ -78,6 +78,3 @@ val remove_edges : t -> (int * int) list -> int
 
 val equal : t -> t -> bool
 (** Same edge sets. *)
-
-val pp : Format.formatter -> t -> unit
-(** Summary line: nodes/edges. *)

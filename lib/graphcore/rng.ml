@@ -31,8 +31,6 @@ let float t =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int r *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))

@@ -26,8 +26,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

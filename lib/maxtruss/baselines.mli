@@ -22,5 +22,5 @@ val gtm : g:Graph.t -> k:int -> budget:int -> ?time_limit_s:float -> unit -> Out
 val cbtm : g:Graph.t -> k:int -> budget:int -> Outcome.t
 
 val cbtm_revenues : g:Graph.t -> k:int -> budget:int -> Plan.revenue array
-(** The single-pair menus CBTM feeds its binary DP — exposed for the DP
-    comparison experiments. *)
+(** The single-pair menus CBTM feeds its binary DP; [test_baselines]
+    calls it to check that each menu holds at most one plan. *)

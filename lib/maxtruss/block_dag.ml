@@ -156,7 +156,3 @@ let edges_of_blocks t blocks =
   List.concat_map (fun b -> Array.to_list t.edges_of.(b)) blocks
 
 let size t b = Array.length t.edges_of.(b)
-
-let pp ppf t =
-  Format.fprintf ppf "dag<%d blocks, %d links, q=%d, Lmax=%d>" t.n_blocks
-    (Array.length t.links) t.total_link_weight t.max_layer

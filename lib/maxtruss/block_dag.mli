@@ -64,5 +64,3 @@ val edges_of_blocks : t -> int list -> Edge_key.t list
 
 val size : t -> int -> int
 (** Number of edges in a block. *)
-
-val pp : Format.formatter -> t -> unit

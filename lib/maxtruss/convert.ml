@@ -243,7 +243,7 @@ let greedy_cascade ~g ~h ~k ~target_key =
 
 let c_conversions = Obs.Counter.make "convert.conversions"
 
-let convert ~ctx ~target ?node_pool () =
+let convert ~ctx ~target () =
   Obs.Span.with_ "convert.convert" @@ fun () ->
   Obs.Counter.incr c_conversions;
   let g = ctx.Score.g and k = ctx.Score.k in
@@ -252,30 +252,25 @@ let convert ~ctx ~target ?node_pool () =
      the order the caller enumerated it in. *)
   let target = List.sort_uniq Edge_key.compare target in
   let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:target in
-  let node_pool =
-    match node_pool with
-    | Some p -> p
-    | None ->
-      (* Clique recruits: the local subgraph's nodes, their graph
-         neighbors, and — when the component sits in a sparse corner with
-         too few of either — arbitrary further graph nodes, so a k-clique
-         can always be completed. *)
-      let seen = Hashtbl.create 64 in
-      Graph.iter_nodes h (fun v -> Hashtbl.replace seen v ());
-      Graph.iter_nodes h (fun v ->
-          Graph.iter_neighbors g v (fun w -> Hashtbl.replace seen w ()));
-      if Hashtbl.length seen < 2 * k then begin
-        try
-          Graph.iter_nodes g (fun v ->
-              if not (Hashtbl.mem seen v) then begin
-                Hashtbl.replace seen v ();
-                if Hashtbl.length seen >= 2 * k then raise Exit
-              end)
-        with Exit -> ()
-      end;
-      Hashtbl.fold (fun v () acc -> v :: acc) seen []
+  (* Clique recruits: the local subgraph's nodes, their graph neighbors,
+     and — when the component sits in a sparse corner with too few of
+     either — arbitrary further graph nodes, so a k-clique can always be
+     completed. *)
+  let seen = Hashtbl.create 64 in
+  Graph.iter_nodes h (fun v -> Hashtbl.replace seen v ());
+  Graph.iter_nodes h (fun v -> Graph.iter_neighbors g v (fun w -> Hashtbl.replace seen w ()));
+  if Hashtbl.length seen < 2 * k then begin
+    try
+      Graph.iter_nodes g (fun v ->
+          if not (Hashtbl.mem seen v) then begin
+            Hashtbl.replace seen v ();
+            if Hashtbl.length seen >= 2 * k then raise Exit
+          end)
+    with Exit -> ()
+  end;
+  let pool =
+    Array.of_list (List.sort_uniq Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) seen []))
   in
-  let pool = Array.of_list (List.sort_uniq Int.compare node_pool) in
   let sup = csup ~h target in
   let unstable = Hashtbl.create 16 in
   Hashtbl.iter (fun key s -> if s < threshold then Hashtbl.replace unstable key ()) sup;

@@ -24,14 +24,10 @@ type outcome = {
   greedy_fallbacks : int;  (** targets finished by the cascading greedy *)
 }
 
-val convert :
-  ctx:Score.ctx ->
-  target:Edge_key.t list ->
-  ?node_pool:int list ->
-  unit ->
-  outcome
-(** [node_pool] widens the vertex set the clique strategy may recruit from
-    (defaults to the nodes of [H]). *)
+val convert : ctx:Score.ctx -> target:Edge_key.t list -> unit -> outcome
+(** The clique strategy recruits from the nodes of [H], their neighbors in
+    [ctx.g], and — when those are fewer than [2k] — further nodes of
+    [ctx.g]. *)
 
 val csup : h:Graph.t -> Edge_key.t list -> (Edge_key.t, int) Hashtbl.t
 (** Component-based support of the target edges inside a prepared [H]

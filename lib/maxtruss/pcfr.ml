@@ -14,7 +14,6 @@ type config = {
   use_flow : bool;
   max_h : int;
   seed : int;
-  time_limit_s : float option;
   min_level_budget : int;
       (** do not descend to the next (k-h) level for less remaining budget
           than this — processing a whole level for a couple of leftover
@@ -35,7 +34,6 @@ let default_config ~k ~budget =
        so the default stops at 3.  Raise max_h for extreme budgets. *)
     max_h = max 1 (min 3 (k - 2));
     seed = 42;
-    time_limit_s = None;
     min_level_budget = 4;
   }
 
@@ -46,8 +44,6 @@ let c_plans_generated = Obs.Counter.make "pcfr.plans_generated"
 let c_plans_kept = Obs.Counter.make "pcfr.plans_kept"
 
 let c_plans_discarded = Obs.Counter.make "pcfr.plans_discarded"
-
-let c_time_limit_hits = Obs.Counter.make "pcfr.time_limit_hits"
 
 let c_edges_committed = Obs.Counter.make "pcfr.edges_committed"
 
@@ -128,25 +124,44 @@ let convert_selections ~ctx ~lctx ~budget (dag, selections) =
       end)
     selections
 
-let flow_pairs ~ctx ~lctx ~dec ~config ~budget ~component =
-  convert_selections ~ctx ~lctx ~budget (flow_selections ~lctx ~dec ~config ~component)
+(* The Phase-I menus of a level's components, in component order: random
+   and min-cut plans, scored on each component's local frame and
+   normalized.  Two passes, so that components parallelize without
+   sharing the rng:
+   - in parallel, reading [ctx] and [dec] only: each component's local
+     scoring context and flow-network scaffolding (onion peel, block DAG,
+     min-cut sweeps);
+   - on the calling domain, in component order: the random interpolation,
+     which draws from the one rng stream, then conversion and scoring. *)
+let level_menus ~rng ~ctx ~dec ~config ~budget components =
+  let scaffolds =
+    Par.parallel_map
+      (fun component ->
+        Obs.Span.with_ "pcfr.component" @@ fun () ->
+        let lctx = Score.local_ctx ctx ~component in
+        let flow =
+          if config.use_flow then Some (flow_selections ~lctx ~dec ~config ~component) else None
+        in
+        (lctx, flow))
+      components
+  in
+  Array.mapi
+    (fun i (lctx, flow) ->
+      let component = components.(i) in
+      let random_pairs =
+        if config.use_random then
+          Random_interp.interpolate ~rng ~ctx:lctx ~component ~budget ~repeats:config.repeats
+            ~forbidden:ctx.Score.g ()
+        else []
+      in
+      let flow_plans =
+        match flow with None -> [] | Some sc -> convert_selections ~ctx ~lctx ~budget sc
+      in
+      Plan.normalize (random_pairs @ flow_plans))
+    scaffolds
 
 let component_revenue ~rng ~ctx ~dec ~config ~budget ~component =
-  Obs.Span.with_ "pcfr.component" @@ fun () ->
-  (* Plans are scored against the component-local subgraph: exact for the
-     promotions a component plan can cause, and far cheaper than scoring
-     against the whole graph. *)
-  let lctx = Score.local_ctx ctx ~component in
-  let random_pairs =
-    if config.use_random then
-      Random_interp.interpolate ~rng ~ctx:lctx ~component ~budget ~repeats:config.repeats
-        ~forbidden:ctx.Score.g ()
-    else []
-  in
-  let flow =
-    if config.use_flow then flow_pairs ~ctx ~lctx ~dec ~config ~budget ~component else []
-  in
-  Plan.normalize (random_pairs @ flow)
+  (level_menus ~rng ~ctx ~dec ~config ~budget [| component |]).(0)
 
 let run config g =
   Obs.Span.with_
@@ -156,11 +171,6 @@ let run config g =
   let k = config.k in
   let rng = Rng.create config.seed in
   let start = Unix.gettimeofday () in
-  let over_time () =
-    match config.time_limit_s with
-    | Some limit -> Unix.gettimeofday () -. start > limit
-    | None -> false
-  in
   (* Level 1 reads [g] itself.  Committed insertions wait in [pending]
      until a later level needs them; that level copies [g] once and adds
      them in commit order, so a run that ends at level 1 copies nothing and
@@ -182,7 +192,6 @@ let run config g =
   let total_inserted = ref [] in
   let remaining = ref config.budget in
   let h = ref 1 in
-  let timed_out = ref false in
   let continue = ref true in
   while
     !continue
@@ -190,134 +199,81 @@ let run config g =
     && k - !h >= 2
     && !h <= config.max_h
   do
-    if over_time () then begin
-      Obs.Counter.incr c_time_limit_hits;
-      timed_out := true;
-      continue := false
+    Obs.Span.with_ ~args:[ ("h", string_of_int !h) ] "pcfr.level" @@ fun () ->
+    let gw = level_graph () in
+    let csr = Csr.of_graph gw in
+    let dec = Truss.Decompose.of_csr csr in
+    if !total_inserted = [] then g_snapshot := Some (csr, dec);
+    let comps = Truss.Connectivity.components ~g:gw ~dec ~lo:(k - !h) ~hi:k in
+    Log.debug (fun m ->
+        m "level h=%d: %d components over classes [%d, %d), budget left %d" !h
+          (List.length comps) (k - !h) k !remaining);
+    if comps = [] then begin
+      if !h >= config.max_h then continue := false else incr h
     end
-    else
-      Obs.Span.with_ ~args:[ ("h", string_of_int !h) ] "pcfr.level" @@ fun () ->
-      let gw = level_graph () in
-      let csr = Csr.of_graph gw in
-      let dec = Truss.Decompose.of_csr csr in
-      if !total_inserted = [] then g_snapshot := Some (csr, dec);
-      let comps = Truss.Connectivity.components ~g:gw ~dec ~lo:(k - !h) ~hi:k in
-      Log.debug (fun m ->
-          m "level h=%d: %d components over classes [%d, %d), budget left %d" !h
-            (List.length comps) (k - !h) k !remaining);
-      if comps = [] then begin
+    else begin
+      let ctx = Score.ctx_of_dec gw csr dec ~k in
+      (* PCFR proper only randomizes on the (k-1)-class; PCR (flow
+         disabled) randomizes at every depth. *)
+      let level_config =
+        if !h > 1 && config.use_flow then { config with use_random = false } else config
+      in
+      let revenues =
+        level_menus ~rng ~ctx ~dec ~config:level_config ~budget:!remaining
+          (Array.of_list comps)
+      in
+      let plan_count = Array.fold_left (fun acc r -> acc + List.length r) 0 revenues in
+      Obs.Counter.add c_plans_generated plan_count;
+      let alloc = Dp.solve ~revenues ~budget:!remaining in
+      Obs.Counter.add c_plans_kept (List.length alloc.Dp.chosen);
+      Obs.Counter.add c_plans_discarded (plan_count - List.length alloc.Dp.chosen);
+      let chosen_edges =
+        List.concat_map (fun (_, (p : Plan.pair)) -> p.inserted) alloc.Dp.chosen
+        |> List.sort_uniq Edge_key.compare
+      in
+      let new_edges =
+        List.filter (fun key -> not (Graph.mem_edge_key gw key)) chosen_edges
+      in
+      let new_edges =
+        (* Deduplication can only shrink the DP's budget usage, but guard
+           the invariant |A| <= b anyway. *)
+        let rec take n = function
+          | [] -> []
+          | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
+        in
+        take !remaining new_edges
+      in
+      if new_edges = [] then begin
         if !h >= config.max_h then continue := false else incr h
       end
       else begin
-        let ctx = Score.ctx_of_dec gw csr dec ~k in
-        (* PCFR proper only randomizes on the (k-1)-class; PCR (flow
-           disabled) randomizes at every depth. *)
-        let level_config =
-          if !h > 1 && config.use_flow then { config with use_random = false } else config
-        in
-        (* Two phases instead of one component_revenue pass, so independent
-           components parallelize without touching the shared rng:
-           phase 1 (parallel, read-only on [gw]/[dec]) builds each
-           component's local scoring context and flow-network scaffolding
-           (onion peel, block DAG, min-cut sweeps); phase 2 (main domain,
-           component order) runs the random interpolation, then conversion
-           and scoring.  Nothing in phase 2 mutates shared state; it stays
-           sequential only because the interpolation draws from the one rng
-           stream, which must be consumed in component order.  The
-           concatenated plans match the single-pass output verbatim. *)
-        let comps_arr = Array.of_list comps in
-        let scaffolds =
-          Par.parallel_map
-            (fun component ->
-              if over_time () then None
-              else
-                Obs.Span.with_ "pcfr.component" @@ fun () ->
-                let lctx = Score.local_ctx ctx ~component in
-                let flow =
-                  if level_config.use_flow then
-                    Some (flow_selections ~lctx ~dec ~config:level_config ~component)
-                  else None
-                in
-                Some (lctx, flow))
-            comps_arr
-        in
-        let revenues =
-          Array.mapi
-            (fun i scaffold ->
-              match scaffold with
-              | None -> []
-              | Some (lctx, flow) ->
-                if over_time () then []
-                else begin
-                  let component = comps_arr.(i) in
-                  let random_pairs =
-                    if level_config.use_random then
-                      Random_interp.interpolate ~rng ~ctx:lctx ~component
-                        ~budget:!remaining ~repeats:level_config.repeats
-                        ~forbidden:ctx.Score.g ()
-                    else []
-                  in
-                  let flow_plans =
-                    match flow with
-                    | None -> []
-                    | Some sc -> convert_selections ~ctx ~lctx ~budget:!remaining sc
-                  in
-                  Plan.normalize (random_pairs @ flow_plans)
-                end)
-            scaffolds
-        in
-        let plan_count = Array.fold_left (fun acc r -> acc + List.length r) 0 revenues in
-        Obs.Counter.add c_plans_generated plan_count;
-        let alloc = Dp.solve ~revenues ~budget:!remaining in
-        Obs.Counter.add c_plans_kept (List.length alloc.Dp.chosen);
-        Obs.Counter.add c_plans_discarded (plan_count - List.length alloc.Dp.chosen);
-        let chosen_edges =
-          List.concat_map (fun (_, (p : Plan.pair)) -> p.inserted) alloc.Dp.chosen
-          |> List.sort_uniq Edge_key.compare
-        in
-        let new_edges =
-          List.filter (fun key -> not (Graph.mem_edge_key gw key)) chosen_edges
-        in
-        let new_edges =
-          (* Deduplication can only shrink the DP's budget usage, but guard
-             the invariant |A| <= b anyway. *)
-          let rec take n = function
-            | [] -> []
-            | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-          in
-          take !remaining new_edges
-        in
-        if new_edges = [] then begin
-          if !h >= config.max_h then continue := false else incr h
-        end
-        else begin
-          let as_pairs = Score.pairs_of_keys new_edges in
-          let gain = Score.score ctx as_pairs in
-          Log.info (fun m ->
-              m "level h=%d: committing %d edges for a verified gain of %d" !h
-                (List.length new_edges) gain);
-          Obs.Counter.add c_edges_committed (List.length new_edges);
-          pending := !pending @ as_pairs;
-          total_inserted := as_pairs @ !total_inserted;
-          remaining := !remaining - List.length new_edges;
-          levels :=
-            {
-              h = !h;
-              components = List.length comps;
-              plans = plan_count;
-              inserted = List.length new_edges;
-              gain;
-            }
-            :: !levels;
-          if !h >= config.max_h then continue := false else incr h
-        end
+        let as_pairs = Score.pairs_of_keys new_edges in
+        let gain = Score.score ctx as_pairs in
+        Log.info (fun m ->
+            m "level h=%d: committing %d edges for a verified gain of %d" !h
+              (List.length new_edges) gain);
+        Obs.Counter.add c_edges_committed (List.length new_edges);
+        pending := !pending @ as_pairs;
+        total_inserted := as_pairs @ !total_inserted;
+        remaining := !remaining - List.length new_edges;
+        levels :=
+          {
+            h = !h;
+            components = List.length comps;
+            plans = plan_count;
+            inserted = List.length new_edges;
+            gain;
+          }
+          :: !levels;
+        if !h >= config.max_h then continue := false else incr h
       end
+    end
   done;
   let inserted = List.rev !total_inserted in
   let time_s = Unix.gettimeofday () -. start in
   let score = Score.evaluate_oracle ?snapshot:!g_snapshot g ~k ~inserted in
   {
-    outcome = { Outcome.inserted; score; time_s; timed_out = !timed_out };
+    outcome = { Outcome.inserted; score; time_s; timed_out = false };
     levels = List.rev !levels;
   }
 

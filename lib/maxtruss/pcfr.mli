@@ -26,7 +26,6 @@ type config = {
       (** deepest (k-h) level to descend to; capped at k-2.  Default
           [min 3 (k-2)] — deeper classes are enormous and convert poorly *)
   seed : int;
-  time_limit_s : float option;
   min_level_budget : int;
       (** do not descend to a deeper (k-h) level with less remaining budget
           than this (default 4): processing a whole level for a couple of
@@ -44,6 +43,7 @@ type level_stat = {
 }
 
 type result = { outcome : Outcome.t; levels : level_stat list }
+(** PCFR runs to completion: its [outcome.timed_out] is always false. *)
 
 val run : config -> Graph.t -> result
 (** [g] is not modified: the first level reads it as it is, and the first
@@ -68,8 +68,12 @@ val component_revenue :
   budget:int ->
   component:Edge_key.t list ->
   Plan.revenue
-(** The Phase-I menu of one component (random + min-cut plans, verified and
-    normalized) — exposed for the DP experiments, which need raw menus. *)
+(** The Phase-I menu of one component (random + min-cut plans, scored on
+    the component's local frame and normalized): the one-component case of
+    the function that builds every level's menus in {!run}.  Called once
+    per component, in component order and on one [rng], it rebuilds a
+    level's menus exactly; Table V's bench and the DP tests use it for raw
+    menus. *)
 
 val component_dag :
   lctx:Score.ctx ->

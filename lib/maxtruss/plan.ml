@@ -8,21 +8,24 @@ let make ~inserted ~score =
   let inserted = List.sort_uniq Edge_key.compare inserted in
   { inserted; cost = List.length inserted; score }
 
-let thin max_plans pairs =
+(* Menus longer than this are thinned. *)
+let menu_cap = 120
+
+let thin pairs =
   let n = List.length pairs in
-  if n <= max_plans then pairs
+  if n <= menu_cap then pairs
   else begin
     (* Keep an even spread, always including the first and last plans. *)
     let arr = Array.of_list pairs in
     let picked = ref [] in
-    for i = max_plans - 1 downto 0 do
-      let idx = i * (n - 1) / (max_plans - 1) in
+    for i = menu_cap - 1 downto 0 do
+      let idx = i * (n - 1) / (menu_cap - 1) in
       picked := arr.(idx) :: !picked
     done;
     List.sort_uniq (fun a b -> Int.compare a.cost b.cost) !picked
   end
 
-let normalize ?(max_plans = 120) pairs =
+let normalize pairs =
   let pairs = List.filter (fun p -> p.cost >= 1 && p.score >= 1) pairs in
   (* Cheapest first; among equal costs the best score first, so the fold
      keeps the first pair seen per cost. *)
@@ -50,7 +53,7 @@ let normalize ?(max_plans = 120) pairs =
       [] dedup
     |> List.rev
   in
-  thin max_plans increasing
+  thin increasing
 
 let score_at revenue x =
   List.fold_left (fun best p -> if p.cost <= x then max best p.score else best) 0 revenue

@@ -21,10 +21,10 @@ type revenue = pair list
 
 val make : inserted:Edge_key.t list -> score:int -> pair
 
-val normalize : ?max_plans:int -> pair list -> revenue
+val normalize : pair list -> revenue
 (** Deduplicate and enforce the strictly-increasing invariant.  When more
-    than [max_plans] (default 120) survive, the menu is thinned evenly while
-    keeping the cheapest and the highest-scoring plan. *)
+    than 120 plans survive, the menu is thinned evenly to 120 while keeping
+    the cheapest and the highest-scoring plan. *)
 
 val score_at : revenue -> int -> int
 (** [score_at r x] = best score among plans with cost [<= x]; 0 if none —

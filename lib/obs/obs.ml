@@ -92,6 +92,11 @@ let gc_snap () =
     gs_majcol = float_of_int q.Gc.major_collections;
   }
 
+let allocated_words () =
+  let minor = Gc.minor_words () in
+  let major = major_words () in
+  minor +. major -. promoted_words ()
+
 type node = {
   s_name : string;
   s_args : (string * string) list;

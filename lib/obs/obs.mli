@@ -300,6 +300,12 @@ val span_histograms : unit -> (string * Hdr.t) list
 (** Duration histograms (nanoseconds) of each span path's closed
     occurrences, sorted by path; paths with none closed are absent. *)
 
+val allocated_words : unit -> float
+(** Words the calling domain has allocated so far (minor + major -
+    promoted), from the reads a span's [alloc_w] comes from: exact at any
+    moment, where [Gc.quick_stat]'s major words move only at collections.
+    Works whether or not collection is on. *)
+
 (** {2 Exporters} *)
 
 val report : out_channel -> unit

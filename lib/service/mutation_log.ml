@@ -2,10 +2,6 @@ open Graphcore
 
 type op = Insert of int * int | Delete of int * int
 
-type config = { fallback_fraction : float }
-
-let default_config = { fallback_fraction = 0.25 }
-
 type outcome = {
   epoch : Epoch.t;
   inserted : int;
@@ -69,6 +65,10 @@ let normalize epoch ops =
   let by_key (a, b) (c, d) = Edge_key.compare (Edge_key.make a b) (Edge_key.make c d) in
   (List.sort by_key ins, List.sort by_key del, !ignored)
 
+(* Batches whose net changes exceed this fraction of the epoch's edges
+   rebuild instead of maintaining. *)
+let fallback_fraction = 0.25
+
 let next_graph base ~ins ~del =
   let g = Graph.copy base in
   let added = Graph.add_edges g ins in
@@ -76,7 +76,7 @@ let next_graph base ~ins ~del =
   assert (added = List.length ins && removed = List.length del);
   g
 
-let apply ?(config = default_config) store ops =
+let apply store ops =
   Obs.Span.with_ "service.mutate_batch" (fun () ->
       Obs.Counter.incr c_batches;
       let result = ref None in
@@ -95,7 +95,7 @@ let apply ?(config = default_config) store ops =
               else begin
                 let m = Epoch.num_edges epoch in
                 let changed = List.length ins + List.length del in
-                let threshold = config.fallback_fraction *. float_of_int (max m 1) in
+                let threshold = fallback_fraction *. float_of_int (max m 1) in
                 let graph = next_graph (Epoch.graph epoch) ~ins ~del in
                 if float_of_int changed > threshold then begin
                   Obs.Counter.incr c_fallbacks;

@@ -6,18 +6,13 @@
     insertion/deletion sets {!Truss.Maintain.batch_update_csr} requires.
     Small batches then go through the incremental maintenance path
     (trussness deltas patched into the decomposition and index, no
-    re-peeling); batches touching more than [fallback_fraction] of the
+    re-peeling); batches whose net changes exceed a quarter of the
     snapshot's edges fall back to a full {!Truss.Decompose.of_csr} rebuild,
     counted by [service.maintain_fallbacks].  Either way a fresh epoch is
     published with [generation + 1]; readers of the old epoch are
     untouched. *)
 
 type op = Insert of int * int | Delete of int * int
-
-type config = { fallback_fraction : float }
-
-val default_config : config
-(** [fallback_fraction = 0.25]. *)
 
 type outcome = {
   epoch : Epoch.t;  (** the newly published epoch *)
@@ -34,7 +29,7 @@ val fallback_count : unit -> int
     (mirrors the [service.maintain_fallbacks] Obs counter, but counts even
     while Obs collection is disabled). *)
 
-val apply : ?config:config -> Store.t -> op list -> outcome
+val apply : Store.t -> op list -> outcome
 (** Normalize the ops against the latest epoch, build the next epoch, and
     publish it (serialized with any other writer by the store's mutex).
     A batch that normalizes to nothing still publishes a restamped epoch

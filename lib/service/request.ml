@@ -294,8 +294,8 @@ let handle_read ~epoch req =
   | Mutate _ | Shutdown -> invalid_arg "Request.handle_read: not a read request");
   Buffer.contents b
 
-let handle_mutate ~store ~config ops =
-  let o = Mutation_log.apply ~config store ops in
+let handle_mutate ~store ops =
+  let o = Mutation_log.apply store ops in
   Printf.sprintf
     "{\"op\":\"mutate\",\"generation\":%d,\"inserted\":%d,\"deleted\":%d,\"ignored\":%d,\"fallback\":%b,\"levels\":%d,\"region_edges\":%d}"
     (Epoch.generation o.Mutation_log.epoch)

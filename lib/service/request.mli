@@ -70,6 +70,6 @@ val handle_read : epoch:Epoch.t -> t -> string
     fans batches out on the {!Par} pool.  Raises [Invalid_argument] on
     [Mutate]/[Shutdown]. *)
 
-val handle_mutate : store:Store.t -> config:Mutation_log.config -> Mutation_log.op list -> string
+val handle_mutate : store:Store.t -> Mutation_log.op list -> string
 (** Apply a mutation batch through {!Mutation_log.apply} (publishing a new
     epoch) and render the response line. *)

@@ -1,7 +1,5 @@
-type config = { fallback_fraction : float; max_batch : int }
-
-let default_config =
-  { fallback_fraction = Mutation_log.default_config.Mutation_log.fallback_fraction; max_batch = 64 }
+(* Most pipelined reads evaluated against one epoch pin. *)
+let max_batch = 64
 
 type stop = Eof | Shutdown_requested
 
@@ -131,7 +129,7 @@ let guarded op f =
   | Stack_overflow | Out_of_memory -> (Request.error_response (op ^ ": request too large"), false)
   | e -> (Request.error_response (op ^ ": " ^ Printexc.to_string e), false)
 
-let serve_fd ?(config = default_config) ?metrics store ~input ~output =
+let serve_fd ?metrics store ~input ~output =
   Lazy.force ignore_sigpipe;
   let lr = Line_reader.create input in
   let idle () =
@@ -140,7 +138,6 @@ let serve_fd ?(config = default_config) ?metrics store ~input ~output =
     | Some mfd -> Metrics_endpoint.wait_input ~input ~metrics:mfd
   in
   let respond line = write_all output (line ^ "\n") in
-  let ml_config = { Mutation_log.fallback_fraction = config.fallback_fraction } in
   (* Timestamps are taken only while telemetry wants them ([arrival] is 0
      otherwise): with collection off and no event sink, the added
      per-request path performs no clock reads and allocates nothing. *)
@@ -189,7 +186,7 @@ let serve_fd ?(config = default_config) ?metrics store ~input ~output =
   let mutate ~id ~t_arr ops =
     let tele = Telemetry.active () in
     let t0 = arrival tele in
-    let resp, ok = guarded "mutate" (fun () -> Request.handle_mutate ~store ~config:ml_config ops) in
+    let resp, ok = guarded "mutate" (fun () -> Request.handle_mutate ~store ops) in
     if tele then begin
       let exec_ns = max 0 (Telemetry.now_ns () - t0) in
       (* A mutate runs against the store head it publishes onto: age 0. *)
@@ -234,7 +231,7 @@ let serve_fd ?(config = default_config) ?metrics store ~input ~output =
       let count = ref 1 in
       let barrier = ref None in
       let rec gather () =
-        if !count < config.max_batch && !barrier = None then
+        if !count < max_batch && !barrier = None then
           match Line_reader.ready lr with
           | `Would_block | `Eof -> ()
           | `Line l -> (
@@ -252,10 +249,9 @@ let serve_fd ?(config = default_config) ?metrics store ~input ~output =
   in
   try loop () with Client_gone -> Eof
 
-let serve_stdin ?config ?metrics store =
-  serve_fd ?config ?metrics store ~input:Unix.stdin ~output:Unix.stdout
+let serve_stdin ?metrics store = serve_fd ?metrics store ~input:Unix.stdin ~output:Unix.stdout
 
-let accept_loop ?config ?metrics store listen_fd =
+let accept_loop ?metrics store listen_fd =
   Lazy.force ignore_sigpipe;
   let rec go () =
     (* Between connections the daemon still answers scrapes. *)
@@ -270,7 +266,7 @@ let accept_loop ?config ?metrics store listen_fd =
           ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
           (fun () ->
             (* One broken connection must not stop the daemon accepting. *)
-            try serve_fd ?config ?metrics store ~input:conn ~output:conn
+            try serve_fd ?metrics store ~input:conn ~output:conn
             with e ->
               Printf.eprintf "[serve] connection error: %s\n%!" (Printexc.to_string e);
               Eof)
@@ -279,7 +275,7 @@ let accept_loop ?config ?metrics store listen_fd =
   in
   go ()
 
-let listen_unix ?config ?metrics ~path store =
+let listen_unix ?metrics ~path store =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -289,9 +285,9 @@ let listen_unix ?config ?metrics ~path store =
     (fun () ->
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 8;
-      accept_loop ?config ?metrics store fd)
+      accept_loop ?metrics store fd)
 
-let listen_tcp ?config ?metrics ~host ~port store =
+let listen_tcp ?metrics ~host ~port store =
   let addr =
     match host with
     | "" -> Unix.inet_addr_loopback
@@ -309,4 +305,4 @@ let listen_tcp ?config ?metrics ~host ~port store =
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
       Unix.bind fd (Unix.ADDR_INET (addr, port));
       Unix.listen fd 8;
-      accept_loop ?config ?metrics store fd)
+      accept_loop ?metrics store fd)

@@ -2,7 +2,7 @@
 
     The dispatch loop reads one request line at a time; when the first
     request of a round is a read, every further read already pipelined on
-    the connection (up to [max_batch]) is gathered and the whole batch is
+    the connection (up to 64) is gathered and the whole batch is
     evaluated against {e one} pinned epoch on the {!Par} pool — responses
     still come back in request order.  A [mutate] or [shutdown] acts as a
     barrier: pending reads flush first, then the mutation publishes a new
@@ -31,18 +31,9 @@
     either direction end that connection ([Eof]) without killing the
     daemon — {!listen_unix}/{!listen_tcp} keep accepting. *)
 
-type config = {
-  fallback_fraction : float;
-      (** forwarded to {!Mutation_log.apply}; see {!Mutation_log.config} *)
-  max_batch : int;  (** most read requests evaluated against one epoch pin *)
-}
-
-val default_config : config
-
 type stop = Eof | Shutdown_requested
 
 val serve_fd :
-  ?config:config ->
   ?metrics:Unix.file_descr ->
   Store.t ->
   input:Unix.file_descr ->
@@ -52,15 +43,14 @@ val serve_fd :
     is a listening socket whose connections are answered with the live
     OpenMetrics exposition whenever the loop waits for input. *)
 
-val serve_stdin : ?config:config -> ?metrics:Unix.file_descr -> Store.t -> stop
+val serve_stdin : ?metrics:Unix.file_descr -> Store.t -> stop
 (** [serve_fd] over stdin/stdout — the pipe mode the smoke test drives. *)
 
-val listen_unix : ?config:config -> ?metrics:Unix.file_descr -> path:string -> Store.t -> unit
+val listen_unix : ?metrics:Unix.file_descr -> path:string -> Store.t -> unit
 (** Bind a Unix-domain socket at [path] (replacing any stale file), accept
     connections one at a time, and return once a client sends [shutdown].
     The socket file is removed on the way out.  Scrapes on [?metrics] are
     served both between and during connections. *)
 
-val listen_tcp :
-  ?config:config -> ?metrics:Unix.file_descr -> host:string -> port:int -> Store.t -> unit
+val listen_tcp : ?metrics:Unix.file_descr -> host:string -> port:int -> Store.t -> unit
 (** Same over TCP; [host = ""] binds the loopback address. *)

@@ -1,7 +1,5 @@
 open Graphcore
 
-let of_edge g u v = Graph.count_common_neighbors g u v
-
 let c_triangles = Obs.Counter.make "support.triangles_enumerated"
 
 (* Below this many edges the per-domain scratch arrays cost more than the
@@ -55,15 +53,3 @@ let all_csr csr =
     Obs.Counter.add c_triangles (!t / 3)
   end;
   sup
-
-let all g =
-  let csr = Csr.of_graph g in
-  let sup = all_csr csr in
-  let m = Csr.num_edges csr in
-  let tbl = Hashtbl.create (max m 1) in
-  for e = 0 to m - 1 do
-    Hashtbl.replace tbl (Csr.edge_key csr e) sup.(e)
-  done;
-  tbl
-
-let sum g = 3 * Csr.triangle_count (Csr.of_graph g)

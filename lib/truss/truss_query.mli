@@ -8,11 +8,4 @@ open Graphcore
 val k_truss_edges : Graph.t -> k:int -> (Edge_key.t, unit) Hashtbl.t
 (** Edge set of the k-truss of [g] ([g] unchanged). *)
 
-val k_truss : Graph.t -> k:int -> Graph.t
-(** The k-truss as a graph. *)
-
 val k_truss_size : Graph.t -> k:int -> int
-
-val is_k_truss : Graph.t -> k:int -> bool
-(** Does every edge of [g] itself have support at least [k - 2] in [g]?
-    (I.e., is [g] its own k-truss.) *)

@@ -109,7 +109,7 @@ let oracle_trussness g =
     while !changed do
       changed := false;
       Graph.iter_edges next (fun u v ->
-          if Truss.Support.of_edge next u v < !k + 1 - 2 then begin
+          if Graph.count_common_neighbors next u v < !k + 1 - 2 then begin
             ignore (Graph.remove_edge next u v);
             changed := true
           end)

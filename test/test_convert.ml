@@ -103,13 +103,13 @@ let prop_plan_edges_absent =
    pool node's adjacency to the chosen set and keeps the first maximum of
    the ascending pool.  Reference for Convert.clique_plan's incremental
    counts. *)
-let pool_scan_clique_plan ~g ~h ~k ~node_pool key =
+let pool_scan_clique_plan ~g ~h ~k ~nodes key =
   let u, v = Edge_key.endpoints key in
   let chosen = ref [ u; v ] in
   let adjacency w =
     List.fold_left (fun acc x -> if Graph.mem_edge h x w then acc + 1 else acc) 0 !chosen
   in
-  let available = ref (List.filter (fun w -> w <> u && w <> v) node_pool) in
+  let available = ref (List.filter (fun w -> w <> u && w <> v) nodes) in
   for _ = 1 to k - 2 do
     let best =
       List.fold_left
@@ -153,10 +153,10 @@ let prop_clique_plan_matches_pool_scan =
       return (g_edges, h_edges, k, pool, (u, v)))
     (fun (g_edges, h_edges, k, pool, (u, v)) ->
       let g = Graph.of_edges g_edges and h = Graph.of_edges h_edges in
-      let node_pool = List.sort_uniq Int.compare pool in
+      let nodes = List.sort_uniq Int.compare pool in
       let key = Edge_key.make u v in
-      Convert.clique_plan ~g ~h ~k ~pool:(Array.of_list node_pool) key
-      = pool_scan_clique_plan ~g ~h ~k ~node_pool key)
+      Convert.clique_plan ~g ~h ~k ~pool:(Array.of_list nodes) key
+      = pool_scan_clique_plan ~g ~h ~k ~nodes key)
 
 let suite =
   [

@@ -78,7 +78,7 @@ let prop_truss_property =
       for k = 3 to Truss.Decompose.kmax dec do
         let tk = Graph.of_edge_keys (Truss.Decompose.truss_edges dec k) in
         Graph.iter_edges tk (fun u v ->
-            if Truss.Support.of_edge tk u v < k - 2 then ok := false)
+            if Graph.count_common_neighbors tk u v < k - 2 then ok := false)
       done;
       !ok)
 
@@ -111,7 +111,7 @@ let prop_maximality =
           let k = tau + 1 in
           let sub = Graph.of_edge_keys (key :: Truss.Decompose.truss_edges dec k) in
           let u, v = Edge_key.endpoints key in
-          if Truss.Support.of_edge sub u v >= k - 2 then
+          if Graph.count_common_neighbors sub u v >= k - 2 then
             (* the edge alone meets the bound, but then it would have been
                included by maximality of the k-truss; flag it *)
             ok := !ok && Truss.Truss_query.k_truss_size sub ~k = Hashtbl.length

@@ -123,7 +123,7 @@ let prop_onion_deeper_layers_survive_longer =
           (fun key layer ->
             if layer = l then begin
               let u, v = Edge_key.endpoints key in
-              if Truss.Support.of_edge work u v >= k - 2 then ok := false
+              if Graph.count_common_neighbors work u v >= k - 2 then ok := false
             end)
           onion.Truss.Onion.layer;
         Hashtbl.iter

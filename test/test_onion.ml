@@ -100,7 +100,7 @@ let prop_layer1_edges_fragile =
         (fun key l acc ->
           if l = 1 then begin
             let u, v = Edge_key.endpoints key in
-            acc && Truss.Support.of_edge h_frozen u v < k - 2
+            acc && Graph.count_common_neighbors h_frozen u v < k - 2
           end
           else acc)
         onion.Truss.Onion.layer true)

@@ -93,12 +93,6 @@ let test_no_truss_material () =
   Alcotest.(check int) "no insertions" 0 (List.length r.Pcfr.outcome.Outcome.inserted);
   Alcotest.(check int) "zero score" 0 r.Pcfr.outcome.Outcome.score
 
-let test_time_limit () =
-  let g = Helpers.fig1 () in
-  let cfg = { (Pcfr.default_config ~k:4 ~budget:4) with time_limit_s = Some 0.0 } in
-  let r = Pcfr.run cfg g in
-  Alcotest.(check bool) "times out immediately" true r.Pcfr.outcome.Outcome.timed_out
-
 (* Golden plans of Pcfr.pcfr on gowalla-sample (k = 6, b = 30): the sorted
    inserted pairs and the verified score per seed.  Kernel changes must keep
    selections bit-identical; one that alters a plan on purpose has to update
@@ -137,6 +131,45 @@ let test_golden_sample () =
       Alcotest.(check (list (pair int int))) (Printf.sprintf "seed %d plan" seed) pairs sorted;
       Alcotest.(check int) (Printf.sprintf "seed %d score" seed) score o.Outcome.score)
     golden_sample
+
+(* Level 1 of [Pcfr.pcfr ~seed:1] on gowalla-sample (k = 6, b = 30),
+   rebuilt from outside the level loop: one [component_revenue] call per
+   component of the 5-class, in component order on one rng, then the DP.
+   It must choose the run's own level-1 insertions from menus of the run's
+   size. *)
+let test_component_revenue_replays_level1 () =
+  let g = (Datasets.Registry.find "gowalla-sample").Datasets.Registry.build () in
+  let k = 6 and budget = 30 and seed = 1 in
+  let r = Pcfr.pcfr ~seed ~g ~k ~budget () in
+  let level1 = List.hd r.Pcfr.levels in
+  Alcotest.(check int) "first committed level" 1 level1.Pcfr.h;
+  let csr = Csr.of_graph g in
+  let dec = Truss.Decompose.of_csr csr in
+  let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
+  let ctx = Score.ctx_of_dec g csr dec ~k in
+  let config = { (Pcfr.default_config ~k ~budget) with seed } in
+  let rng = Rng.create seed in
+  let revenues =
+    Array.of_list
+      (List.map
+         (fun component -> Pcfr.component_revenue ~rng ~ctx ~dec ~config ~budget ~component)
+         comps)
+  in
+  let alloc = Dp.solve ~revenues ~budget in
+  let chosen =
+    List.concat_map (fun (_, (p : Plan.pair)) -> p.Plan.inserted) alloc.Dp.chosen
+    |> List.sort_uniq Edge_key.compare
+    |> List.filter (fun key -> not (Graph.mem_edge_key g key))
+    |> List.filteri (fun i _ -> i < budget)
+  in
+  let committed =
+    List.filteri (fun i _ -> i < level1.Pcfr.inserted) r.Pcfr.outcome.Outcome.inserted
+    |> Score.keys_of_pairs
+    |> List.sort Edge_key.compare
+  in
+  Alcotest.(check (list int)) "level-1 insertions" committed chosen;
+  Alcotest.(check int) "menu sizes sum to the level's plans" level1.Pcfr.plans
+    (Array.fold_left (fun acc menu -> acc + List.length menu) 0 revenues)
 
 let prop_pcfr_at_least_cbtm =
   (* On clustered graphs components are triangle-independent — the regime
@@ -188,8 +221,9 @@ let suite =
     Alcotest.test_case "large budget descends levels" `Slow test_large_budget_descends_levels;
     Alcotest.test_case "level stats consistent" `Quick test_level_stats_consistent;
     Alcotest.test_case "no truss material" `Quick test_no_truss_material;
-    Alcotest.test_case "time limit" `Quick test_time_limit;
     Alcotest.test_case "golden plans on gowalla-sample" `Quick test_golden_sample;
+    Alcotest.test_case "component_revenue replays level 1" `Quick
+      test_component_revenue_replays_level1;
     Helpers.qtest prop_pcfr_at_least_cbtm;
     Helpers.qtest prop_insertions_verified_and_new;
   ]

@@ -51,8 +51,8 @@ let test_max_pair () =
 
 let test_thinning_keeps_extremes () =
   let pairs = List.init 300 (fun i -> mk_pair (i + 1) (i + 1)) in
-  let r = Plan.normalize ~max_plans:50 pairs in
-  Alcotest.(check bool) "at most max_plans" true (List.length r <= 50);
+  let r = Plan.normalize pairs in
+  Alcotest.(check int) "thinned to 120 plans" 120 (List.length r);
   Alcotest.(check int) "cheapest kept" 1 (List.hd r).Plan.cost;
   Alcotest.(check int) "best kept" 300 (match Plan.max_pair r with Some p -> p.Plan.score | None -> 0)
 

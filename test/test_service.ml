@@ -164,12 +164,16 @@ let test_normalization_cancels () =
     (Service.Epoch.num_edges out.Service.Mutation_log.epoch)
 
 let test_fallback_threshold () =
+  (* K6 has 15 edges: a batch changing 3 of them is maintained, one
+     changing 4 (more than a quarter) takes the rebuild path. *)
+  let deletions n = List.init n (fun i -> Service.Mutation_log.Delete (0, i + 1)) in
+  let small = Service.Mutation_log.apply (store_of (Gen.complete 6)) (deletions 3) in
+  Alcotest.(check bool) "a quarter or less is maintained" false
+    small.Service.Mutation_log.fallback;
   let store = store_of (Gen.complete 6) in
   let fallbacks0 = Service.Mutation_log.fallback_count () in
-  let config = { Service.Mutation_log.fallback_fraction = 0.0 } in
-  let out = Service.Mutation_log.apply ~config store [ Service.Mutation_log.Delete (0, 1) ] in
-  Alcotest.(check bool) "zero threshold forces the rebuild path" true
-    out.Service.Mutation_log.fallback;
+  let out = Service.Mutation_log.apply store (deletions 4) in
+  Alcotest.(check bool) "more than a quarter rebuilds" true out.Service.Mutation_log.fallback;
   Alcotest.(check int) "fallback counted" (fallbacks0 + 1) (Service.Mutation_log.fallback_count ());
   (* and the rebuilt epoch still answers like a fresh one *)
   let e = out.Service.Mutation_log.epoch in
@@ -453,14 +457,17 @@ let test_stats_detail_consistency () =
   @@ fun () ->
   let store = store_of (Gen.complete 6) in
   let mirror0 = Service.Mutation_log.fallback_count () in
-  (* Forced-fallback burst: a zero threshold rebuilds on every batch, so
-     the plain-Atomic mirror (counts since process start) and the Obs
-     counter (counts since reset, above) must advance in lockstep. *)
-  let config = { Service.Mutation_log.fallback_fraction = 0.0 } in
+  (* Forced-fallback burst: each batch inserts or deletes six pendant
+     edges, more than a quarter of K6's 15 edges and of the 21 with them
+     in, so every batch rebuilds and the plain-Atomic mirror (counts since
+     process start) and the Obs counter (counts since reset, above) must
+     advance in lockstep. *)
+  let pendant = List.init 6 (fun i -> (50 + i, 60 + i)) in
   for i = 0 to 4 do
-    ignore
-      (Service.Mutation_log.apply ~config store
-         [ Service.Mutation_log.Insert (50 + i, 60 + i) ])
+    let op (u, v) =
+      if i mod 2 = 0 then Service.Mutation_log.Insert (u, v) else Service.Mutation_log.Delete (u, v)
+    in
+    ignore (Service.Mutation_log.apply store (List.map op pendant))
   done;
   let epoch = Service.Store.current store in
   let resp =
